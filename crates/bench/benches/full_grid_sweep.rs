@@ -65,6 +65,7 @@ fn report_json(c: &mut Criterion) {
     };
     let serial = time(&|| spec.run_serial().unwrap());
     let parallel = time(&|| spec.run().unwrap());
+    let threads = spec.run().unwrap().threads;
     let tasks = (spec.axes.iter().map(|a| a.values.len()).product::<usize>()
         * spec.protocols.len()) as f64;
     println!(
@@ -74,7 +75,7 @@ fn report_json(c: &mut Criterion) {
          \"serial_tasks_per_s\": {:.1}, \"parallel_tasks_per_s\": {:.1}, \
          \"speedup\": {:.2}}}",
         host_json_fields(),
-        rayon::current_num_threads(),
+        threads,
         tasks / serial,
         tasks / parallel,
         serial / parallel,
@@ -312,7 +313,8 @@ fn report_batch_json(c: &mut Criterion) {
          \"source\": \"cargo bench -p ft-bench --bench full_grid_sweep \
          (criterion harness=false, vendored stand-in)\", \
          {}, \"threads\": 1, \
-         \"note\": \"single-core SSE2-only host; fig7 grid is failure-dominated \
+         \"note\": \"single-core run, SSE2 compile baseline on an AVX2/FMA/AVX-512F \
+         host; fig7 grid is failure-dominated \
          (Amdahl-bound on the interrupt redraws), sparse grid is \
          fast-path-bound; sparse grid doubles as the batch-vs-scalar \
          no-regression guard\", \

@@ -551,6 +551,16 @@ impl SweepSpec {
         // Grid points sharing a (protocol, profile, plan) triple — repeated
         // budgets, shape-only axes — compile their step program once.
         let cache = BatchProgramCache::new();
+        let tasks_len = if self.paired {
+            grid.len()
+        } else {
+            grid.len() * self.protocols.len()
+        };
+        let threads = if parallel {
+            rayon::current_num_threads().min(tasks_len).max(1)
+        } else {
+            1
+        };
         let results: Vec<PointResult> = if self.paired {
             // Paired mode: protocols share failure traces, so the task
             // granularity is one whole point.
@@ -594,6 +604,7 @@ impl SweepSpec {
             axes: self.axes.iter().map(|a| a.parameter).collect(),
             points,
             elapsed_seconds,
+            threads,
             results,
         })
     }
@@ -946,6 +957,10 @@ pub struct SweepResults {
     pub points: Vec<Vec<(Parameter, f64)>>,
     /// Wall-clock execution time of the grid.
     pub elapsed_seconds: f64,
+    /// Worker threads the grid ran on: 1 for [`SweepSpec::run_serial`], the
+    /// pool's threads capped at the number of grid tasks for
+    /// [`SweepSpec::run`].
+    pub threads: usize,
     /// One result per `(point, protocol)` task, in grid order.
     pub results: Vec<PointResult>,
 }
@@ -1953,15 +1968,22 @@ pub fn run_cli(mut spec: SweepSpec, args: &Args) -> SweepResults {
             );
         }
     }
-    println!(
-        "# {} tasks ({} simulated executions) in {:.2} s ({:.0} tasks/s) on {} threads",
+    println!("{}", run_footer(&results));
+    results
+}
+
+/// The closing line of a CLI run: task count, executions, wall clock and the
+/// worker threads the grid actually ran on.
+fn run_footer(results: &SweepResults) -> String {
+    format!(
+        "# {} tasks ({} simulated executions) in {:.2} s ({:.0} tasks/s) on {} thread{}",
         results.results.len(),
         results.total_executions(),
         results.elapsed_seconds,
         results.tasks_per_second(),
-        rayon::current_num_threads(),
-    );
-    results
+        results.threads,
+        if results.threads == 1 { "" } else { "s" },
+    )
 }
 
 #[cfg(test)]
@@ -2027,6 +2049,24 @@ mod tests {
         // And the whole run is reproducible.
         let again = spec.run().unwrap();
         assert_eq!(par.results, again.results);
+    }
+
+    #[test]
+    fn the_footer_reports_the_threads_the_grid_ran_on() {
+        let spec = SweepSpec::new("t", figure7_base())
+            .axis(Axis::linspace(Parameter::Alpha, 0.0, 1.0, 3));
+        let args = Args::from_vec(["--serial", "--replications", "2"].map(String::from).to_vec());
+        let serial = run_cli(spec.clone(), &args);
+        assert_eq!(serial.threads, 1);
+        let footer = run_footer(&serial);
+        assert!(footer.ends_with(" on 1 thread"), "{footer}");
+        let par = spec.run().unwrap();
+        assert_eq!(par.threads, rayon::current_num_threads().min(9));
+        let one_task = SweepSpec::new("t", figure7_base())
+            .protocols(vec![Protocol::PurePeriodicCkpt])
+            .run()
+            .unwrap();
+        assert_eq!(one_task.threads, 1);
     }
 
     #[test]
@@ -2195,6 +2235,7 @@ mod tests {
             axes,
             points,
             elapsed_seconds: 0.0,
+            threads: 1,
             results,
         }
     }

@@ -374,32 +374,46 @@ impl<B: CheckpointBackend> CheckpointBackend for FaultInjectingBackend<B> {
         let torn = self.chance(self.plan.torn_write);
         let truncate = self.chance(self.plan.truncate);
         let flip = self.chance(self.plan.bit_flip);
-        let mut damaged = bytes.to_vec();
-        if torn {
-            let bounds = frame_boundaries(bytes);
-            // Keep a strict prefix of whole frames (possibly zero frames):
-            // the final boundary is the full stream, so never pick it.
-            if bounds.len() > 1 {
-                let cut = (self.rng.next_u64() as usize) % (bounds.len() - 1);
-                damaged.truncate(bounds[cut]);
-            } else {
-                damaged.clear();
-            }
-            self.injected.push((generation, InjectedKind::TornWrite));
+        let kind = if torn {
+            InjectedKind::TornWrite
         } else if truncate {
-            if damaged.len() > 1 {
-                let cut = 1 + (self.rng.next_u64() as usize) % (damaged.len() - 1);
-                damaged.truncate(cut);
-            }
-            self.injected.push((generation, InjectedKind::Truncate));
+            InjectedKind::Truncate
         } else if flip {
-            if !damaged.is_empty() {
-                let bit = (self.rng.next_u64() as usize) % (damaged.len() * 8);
-                damaged[bit / 8] ^= 1 << (bit % 8);
+            InjectedKind::BitFlip
+        } else {
+            return self.inner.put(generation, bytes);
+        };
+        self.injected.push((generation, kind));
+        match kind {
+            InjectedKind::TornWrite => {
+                // Keep a strict prefix of whole frames (possibly zero
+                // frames): the final boundary is the full stream, so never
+                // pick it.
+                let bounds = frame_boundaries(bytes);
+                let cut = if bounds.len() > 1 {
+                    bounds[(self.rng.next_u64() as usize) % (bounds.len() - 1)]
+                } else {
+                    0
+                };
+                self.inner.put(generation, &bytes[..cut])
             }
-            self.injected.push((generation, InjectedKind::BitFlip));
+            InjectedKind::Truncate => {
+                let cut = if bytes.len() > 1 {
+                    1 + (self.rng.next_u64() as usize) % (bytes.len() - 1)
+                } else {
+                    bytes.len()
+                };
+                self.inner.put(generation, &bytes[..cut])
+            }
+            InjectedKind::BitFlip => {
+                let mut damaged = bytes.to_vec();
+                if !damaged.is_empty() {
+                    let bit = (self.rng.next_u64() as usize) % (damaged.len() * 8);
+                    damaged[bit / 8] ^= 1 << (bit % 8);
+                }
+                self.inner.put(generation, &damaged)
+            }
         }
-        self.inner.put(generation, &damaged)
     }
 
     fn get(&mut self, generation: u64) -> Result<Vec<u8>, StoreFault> {

@@ -38,6 +38,10 @@ pub const DEFAULT_CHUNK_SIZE: usize = 4096;
 const KIND_HEADER: u8 = 1;
 const KIND_CHUNK: u8 = 2;
 const KIND_TRAILER: u8 = 3;
+/// Bytes a frame adds around its payload: kind, length and checksum.
+const FRAME_OVERHEAD: usize = 9;
+/// Payload length of the trailer frame: body length, chunk count, checksum.
+const TRAILER_PAYLOAD: usize = 16;
 
 /// What a frame stream's body contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,27 +201,49 @@ impl<C: ChecksumGen + Clone> FrameWriter<C> {
     }
 
     /// Appends body bytes; full chunks are framed and emitted as they fill.
-    pub fn push(&mut self, data: &[u8]) {
+    ///
+    /// A partial chunk left by an earlier push is topped up first; full
+    /// chunks are then framed straight from `data`, and only the remainder
+    /// is buffered, so every body byte is copied into `out` once.
+    pub fn push(&mut self, mut data: &[u8]) {
         self.stream_gen.push(data);
         self.body_len += data.len() as u64;
-        self.pending.extend_from_slice(data);
-        while self.pending.len() >= self.chunk_size {
-            let rest = self.pending.split_off(self.chunk_size);
-            emit_frame(&mut self.out, &mut self.frame_gen, KIND_CHUNK, &self.pending);
-            self.chunks += 1;
-            self.pending = rest;
+        if !self.pending.is_empty() {
+            let take = (self.chunk_size - self.pending.len()).min(data.len());
+            self.pending.extend_from_slice(&data[..take]);
+            data = &data[take..];
+            if self.pending.len() < self.chunk_size {
+                return;
+            }
+            self.emit_chunk_from_pending();
         }
+        let chunks = data.chunks_exact(self.chunk_size);
+        let rest = chunks.remainder();
+        // Room for these chunks, the partial one and the trailer, so a
+        // one-shot encode allocates its output once.
+        self.out.reserve(
+            data.len() + (data.len() / self.chunk_size + 2) * FRAME_OVERHEAD + TRAILER_PAYLOAD,
+        );
+        for chunk in chunks {
+            emit_frame(&mut self.out, &mut self.frame_gen, KIND_CHUNK, chunk);
+            self.chunks += 1;
+        }
+        self.pending.extend_from_slice(rest);
+    }
+
+    fn emit_chunk_from_pending(&mut self) {
+        emit_frame(&mut self.out, &mut self.frame_gen, KIND_CHUNK, &self.pending);
+        self.chunks += 1;
+        self.pending.clear();
     }
 
     /// Flushes any partial chunk, emits the trailer and returns the encoded
     /// stream.
     pub fn finish(mut self) -> Vec<u8> {
         if !self.pending.is_empty() {
-            let pending = std::mem::take(&mut self.pending);
-            emit_frame(&mut self.out, &mut self.frame_gen, KIND_CHUNK, &pending);
-            self.chunks += 1;
+            self.emit_chunk_from_pending();
         }
-        let mut payload = Vec::with_capacity(16);
+        let mut payload = Vec::with_capacity(TRAILER_PAYLOAD);
         payload.extend_from_slice(&self.body_len.to_le_bytes());
         payload.extend_from_slice(&self.chunks.to_le_bytes());
         payload.extend_from_slice(&self.stream_gen.value().to_le_bytes());
@@ -260,14 +286,15 @@ pub fn decode_stream<C: ChecksumGen + Clone>(
     let mut at = 0usize;
     let mut frame_index = 0usize;
     let mut header: Option<FrameHeader> = None;
-    let mut body: Vec<u8> = Vec::new();
+    // The body is a strict subset of the stream's bytes.
+    let mut body: Vec<u8> = Vec::with_capacity(bytes.len());
     let mut chunks = 0u32;
     loop {
         if at == bytes.len() {
             // Ran out of bytes without seeing a trailer.
             return Err(FrameFault::TornWrite { frame_index });
         }
-        if bytes.len() - at < 9 {
+        if bytes.len() - at < FRAME_OVERHEAD {
             return Err(FrameFault::TornWrite { frame_index });
         }
         let kind = bytes[at];
@@ -298,7 +325,7 @@ pub fn decode_stream<C: ChecksumGen + Clone>(
                 chunks += 1;
             }
             (KIND_TRAILER, i) if i > 0 => {
-                if payload.len() != 16 {
+                if payload.len() != TRAILER_PAYLOAD {
                     return Err(FrameFault::CorruptFrame { frame_index });
                 }
                 let body_len = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
@@ -360,9 +387,9 @@ fn parse_header(payload: &[u8]) -> Option<FrameHeader> {
 pub fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
     let mut at = 0usize;
     let mut bounds = vec![0];
-    while bytes.len() - at >= 9 {
+    while bytes.len() - at >= FRAME_OVERHEAD {
         let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().expect("4 bytes")) as usize;
-        let Some(total) = 9usize.checked_add(len) else {
+        let Some(total) = FRAME_OVERHEAD.checked_add(len) else {
             break;
         };
         if bytes.len() - at < total {
@@ -433,6 +460,15 @@ fn dataset_from_tag(tag: u8) -> Result<DatasetKind, FrameFault> {
     }
 }
 
+/// Encoded length of a snapshot list, so the body encoders allocate once.
+fn snapshots_len(snapshots: &[ProcessSnapshot]) -> usize {
+    let region = |r: &RegionSnapshot| 25 + r.data.len();
+    4 + snapshots
+        .iter()
+        .map(|s| 20 + s.regions.iter().map(region).sum::<usize>())
+        .sum::<usize>()
+}
+
 fn write_snapshots(out: &mut Vec<u8>, snapshots: &[ProcessSnapshot]) {
     out.extend_from_slice(&(snapshots.len() as u32).to_le_bytes());
     for s in snapshots {
@@ -481,7 +517,7 @@ fn read_snapshots(r: &mut Reader<'_>) -> Result<Vec<ProcessSnapshot>, FrameFault
 
 /// Encodes a [`CoordinatedCheckpoint`] body.
 pub fn encode_coordinated(ckpt: &CoordinatedCheckpoint) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(8 + snapshots_len(&ckpt.snapshots));
     out.extend_from_slice(&ckpt.time.to_bits().to_le_bytes());
     write_snapshots(&mut out, &ckpt.snapshots);
     out
@@ -500,7 +536,7 @@ pub fn decode_coordinated(bytes: &[u8]) -> Result<CoordinatedCheckpoint, FrameFa
 
 /// Encodes an [`IncrementalCheckpoint`] body (the delta payload).
 pub fn encode_incremental(ckpt: &IncrementalCheckpoint) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(8 + snapshots_len(&ckpt.snapshots));
     out.extend_from_slice(&ckpt.time.to_bits().to_le_bytes());
     write_snapshots(&mut out, &ckpt.snapshots);
     out
@@ -519,7 +555,7 @@ pub fn decode_incremental(bytes: &[u8]) -> Result<IncrementalCheckpoint, FrameFa
 
 /// Encodes a [`PartialCheckpoint`] body (the dataset-delta payload).
 pub fn encode_partial(ckpt: &PartialCheckpoint) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(9 + snapshots_len(&ckpt.snapshots));
     out.push(dataset_to_tag(ckpt.kind));
     out.extend_from_slice(&ckpt.time.to_bits().to_le_bytes());
     write_snapshots(&mut out, &ckpt.snapshots);
@@ -692,6 +728,22 @@ mod tests {
             w.push(piece);
         }
         assert_eq!(w.finish(), one_shot);
+    }
+
+    #[test]
+    fn body_encoders_allocate_exactly_once() {
+        let set = ProcessSet::uniform(3, 70, 30);
+        let base = CoordinatedCheckpoint::capture(&set, 1.0);
+        let inc = IncrementalCheckpoint::capture_since(&set, &base, 2.0);
+        let part = PartialCheckpoint::capture(&set, DatasetKind::Library, 3.0);
+        for body in [
+            encode_coordinated(&base),
+            encode_incremental(&inc),
+            encode_partial(&part),
+            encode_coordinated(&CoordinatedCheckpoint::capture(&ProcessSet::new(0), 0.0)),
+        ] {
+            assert_eq!(body.capacity(), body.len());
+        }
     }
 
     #[test]

@@ -57,7 +57,65 @@ const fn crc32_table() -> [u32; 256] {
     table
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+/// The slicing-by-16 tables: `table[0]` is the bytewise table, and
+/// `table[k][i]` is the CRC state after feeding byte `i` followed by `k` zero
+/// bytes, so sixteen lookups advance the state over sixteen input bytes.
+const fn crc32_slice_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    tables[0] = crc32_table();
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+static CRC32_TABLES: [[u32; 256]; 16] = crc32_slice_tables();
+
+/// Feeds `data` into the raw CRC state one byte at a time.
+#[inline]
+fn crc32_bytewise(mut c: u32, data: &[u8]) -> u32 {
+    for &b in data {
+        c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// Feeds `data` into the raw CRC state sixteen bytes at a time (slicing-by-16),
+/// finishing the tail of fewer than sixteen bytes bytewise.
+fn crc32_slicing16(mut c: u32, data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        let word =
+            |i: usize| u32::from_le_bytes([block[i], block[i + 1], block[i + 2], block[i + 3]]);
+        let (a, b, d, e) = (word(0) ^ c, word(4), word(8), word(12));
+        let byte = |w: u32, shift: u32| ((w >> shift) & 0xFF) as usize;
+        c = t[15][byte(a, 0)]
+            ^ t[14][byte(a, 8)]
+            ^ t[13][byte(a, 16)]
+            ^ t[12][byte(a, 24)]
+            ^ t[11][byte(b, 0)]
+            ^ t[10][byte(b, 8)]
+            ^ t[9][byte(b, 16)]
+            ^ t[8][byte(b, 24)]
+            ^ t[7][byte(d, 0)]
+            ^ t[6][byte(d, 8)]
+            ^ t[5][byte(d, 16)]
+            ^ t[4][byte(d, 24)]
+            ^ t[3][byte(e, 0)]
+            ^ t[2][byte(e, 8)]
+            ^ t[1][byte(e, 16)]
+            ^ t[0][byte(e, 24)];
+    }
+    crc32_bytewise(c, blocks.remainder())
+}
 
 /// CRC-32/ISO-HDLC (a.k.a. the zlib/PNG/Ethernet CRC-32): init `0xFFFFFFFF`,
 /// reflected polynomial `0xEDB88320`, final XOR `0xFFFFFFFF`.
@@ -86,11 +144,7 @@ impl ChecksumGen for Crc32 {
     }
 
     fn push(&mut self, data: &[u8]) {
-        let mut c = self.state;
-        for &b in data {
-            c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
+        self.state = crc32_slicing16(self.state, data);
     }
 
     #[inline]
@@ -130,6 +184,8 @@ impl ChecksumGen for NullChecksum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DeterministicRng;
+    use proptest::prelude::*;
 
     #[test]
     fn crc32_matches_the_check_vector() {
@@ -176,6 +232,34 @@ mod tests {
             let mut flipped = data.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             assert_ne!(c.checksum_of(&flipped), clean, "bit {bit}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn slicing_kernel_equals_the_bytewise_reference(
+            len in 0usize..=300,
+            offset in 0usize..16,
+            seed in 0u64..u64::MAX,
+            splits in prop::collection::vec(0usize..=300, 0..6),
+        ) {
+            let mut rng = crate::rng::Xoshiro256::seed_from_u64(seed);
+            let buf: Vec<u8> = (0..offset + len).map(|_| rng.next_u64() as u8).collect();
+            let data = &buf[offset..];
+            let reference = !crc32_bytewise(!0, data);
+            prop_assert_eq!(!crc32_slicing16(!0, data), reference);
+            // The same bytes pushed in arbitrary pieces.
+            let mut cuts: Vec<usize> = splits.iter().map(|&s| s.min(len)).collect();
+            cuts.sort_unstable();
+            let mut c = Crc32::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                c.push(&data[at..cut]);
+                at = cut;
+            }
+            prop_assert_eq!(c.value(), reference);
         }
     }
 
