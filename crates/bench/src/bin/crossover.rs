@@ -22,6 +22,7 @@
 //!     [--min-replications 100] [--max-replications 1000] [--max-probes 40] \
 //!     [--sign-repeats 3] \
 //!     [--failure-model exponential|weibull --weibull-shape 0.7] \
+//!     [--batch-lanes 128] [--point-threads 1] \
 //!     [--model-only] [--model-gap] [--compare-fixed 1000] [--json] [--seed 42]
 //! ```
 //!
@@ -33,6 +34,11 @@
 //! seeding grid as a paired fixed-`N` scan and reports both execution
 //! counts — the `BENCH_crossover.json` payload.  `--json` prints the
 //! machine-readable summary line.
+//!
+//! `--batch-lanes` and `--point-threads` pick the lane width and intra-probe
+//! threads of the batch engine the probes run on (`--batch-lanes 1` = the
+//! scalar engine), as on the sweep CLIs; the output is identical at every
+//! setting.
 
 use ft_bench::experiment::{failure_spec_from_args, format_value};
 use ft_bench::{
@@ -83,6 +89,8 @@ fn main() {
     if let Some(failure) = failure_spec_from_args(&args) {
         spec.failure = failure;
     }
+    spec.batch_lanes = args.value("--batch-lanes", spec.batch_lanes);
+    spec.point_threads = args.value("--point-threads", spec.point_threads);
 
     // Probe budget: paired-delta adaptive stopping unless the caller asked
     // for exact model probes.  (Model probes work on every axis, including
@@ -206,8 +214,8 @@ fn main() {
     println!(
         "# refinement cost: {} probes, {} shared traces, {} simulated executions (budget {})",
         refinement.probes.len(),
-        refinement.total_replications() / 2,
-        refinement.total_replications(),
+        refinement.total_executions() / 2,
+        refinement.total_executions(),
         spec.budget,
     );
 
@@ -224,7 +232,7 @@ fn main() {
         let results = scan.run().expect("the seeding grid already expanded");
         println!(
             "# fixed-{compare_fixed} grid scan: {} simulated executions, crossover at grid resolution only:",
-            results.total_replications(),
+            results.total_executions(),
         );
         report_crossover(&results, axis);
         results
@@ -233,7 +241,7 @@ fn main() {
     if args.flag("--json") {
         let probes = refinement.probes.len();
         let (fixed_execs, fixed_crossover) = fixed_scan.as_ref().map_or((0, None), |r| {
-            (r.total_replications(), r.crossover(axis))
+            (r.total_executions(), r.crossover(axis))
         });
         println!(
             "{{\"bench\": \"crossover_refinement\", \"target\": \"{target}\", \
@@ -258,7 +266,7 @@ fn main() {
             refinement.rel_tolerance,
             refinement.achieved_tolerance,
             refinement.converged,
-            refinement.total_replications(),
+            refinement.total_executions(),
             fixed_crossover.map_or("null".to_string(), |x| format!("{x}")),
         );
     }

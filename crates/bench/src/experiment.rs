@@ -729,34 +729,50 @@ impl SweepSpec {
         }
     }
 
+    /// The paired simulation of one point: every protocol replays the
+    /// failure traces drawn from `seed`.  The one dispatch site of paired
+    /// simulations, shared by grid points and crossover probes: the batch
+    /// engine (programs from `cache`) when `batch_lanes > 1`, the scalar
+    /// engine otherwise.  Both are bit-exact, so the choice only moves
+    /// throughput.
+    fn simulate_paired(
+        &self,
+        point: &GridPoint,
+        params: &ModelParams,
+        seed: u64,
+        cache: &BatchProgramCache,
+    ) -> PairedAccumulator {
+        let profile = self.sim_profile(point, params);
+        let engine = self.engine(point, params);
+        if self.batch_lanes > 1 {
+            let programs: Vec<std::sync::Arc<BatchProgram>> = self
+                .protocols
+                .iter()
+                .map(|&p| cache.get(p, &profile, engine.plan()))
+                .collect();
+            let refs: Vec<&BatchProgram> = programs.iter().map(|p| p.as_ref()).collect();
+            accumulate_paired_programs_batch(
+                &engine,
+                &self.protocols,
+                &refs,
+                self.plan(),
+                seed,
+                self.batch_lanes,
+                self.point_threads,
+            )
+        } else {
+            accumulate_paired_engine(&engine, &self.protocols, &profile, self.plan(), seed)
+        }
+    }
+
     /// Evaluates one whole point in paired mode: every protocol replays the
     /// same failure traces, and waste differences against the first protocol
     /// ride along with each non-baseline row.
     fn evaluate_paired(&self, point: &GridPoint, cache: &BatchProgramCache) -> Vec<PointResult> {
         let sim = match point.params {
             Some(params) if self.budget.runs_simulation() => {
-                let profile = self.sim_profile(point, &params);
-                let engine = self.engine(point, &params);
                 let seed = task_seed(self.seed, point.index as u64, None);
-                Some(if self.batch_lanes > 1 {
-                    let programs: Vec<std::sync::Arc<BatchProgram>> = self
-                        .protocols
-                        .iter()
-                        .map(|&p| cache.get(p, &profile, engine.plan()))
-                        .collect();
-                    let refs: Vec<&BatchProgram> = programs.iter().map(|p| p.as_ref()).collect();
-                    accumulate_paired_programs_batch(
-                        &engine,
-                        &self.protocols,
-                        &refs,
-                        self.plan(),
-                        seed,
-                        self.batch_lanes,
-                        self.point_threads,
-                    )
-                } else {
-                    accumulate_paired_engine(&engine, &self.protocols, &profile, self.plan(), seed)
-                })
+                Some(self.simulate_paired(point, &params, seed, cache))
             }
             _ => None,
         };
@@ -1399,16 +1415,29 @@ pub struct CrossoverRefinement {
     /// consecutive entries when [`CrossoverRefiner::sign_repeats`] pooled
     /// repeated probes into its decision).  The model-seeding bisection
     /// itself is free and not recorded; every entry here cost
-    /// `2 × replications` simulated executions (0 for model-only probes).
+    /// `2 × replications` simulated executions (0 for model-only probes),
+    /// twice that under antithetic pairing.
     pub probes: Vec<CrossoverProbe>,
+    /// Whether the probes ran antithetic pairs
+    /// ([`SweepSpec::antithetic`]): each replication then replays a trace
+    /// and its antithetic partner, two executions per protocol.
+    pub antithetic: bool,
 }
 
 impl CrossoverRefinement {
-    /// Total simulated executions spent across all probes (traces ×
-    /// protocols) — the quantity to compare against a fixed-budget grid
-    /// scan's [`SweepResults::total_replications`].
+    /// Replications spent across all probes, counted per protocol (traces ×
+    /// protocols): equals [`CrossoverRefinement::total_executions`] except
+    /// under antithetic pairing, where each replication is a trace pair.
     pub fn total_replications(&self) -> usize {
         self.probes.iter().map(|p| p.replications * 2).sum()
+    }
+
+    /// Total simulated executions spent across all probes — the quantity to
+    /// compare against a fixed-budget grid scan's
+    /// [`SweepResults::total_executions`].  Twice
+    /// [`CrossoverRefinement::total_replications`] under antithetic pairing.
+    pub fn total_executions(&self) -> usize {
+        self.total_replications() * if self.antithetic { 2 } else { 1 }
     }
 }
 
@@ -1529,14 +1558,10 @@ impl CrossoverRefiner {
         let grid = spec.expand()?;
         let point = &grid[0];
         if let (Some(params), true) = (point.params, spec.budget.runs_simulation()) {
-            let profile = spec.sim_profile(point, &params);
-            let acc: PairedAccumulator = accumulate_paired_engine(
-                &spec.engine(point, &params),
-                &spec.protocols,
-                &profile,
-                spec.plan(),
-                SeedStream::nth_seed(spec.seed ^ REFINER_SEED_TAG, index),
-            );
+            let seed = SeedStream::nth_seed(spec.seed ^ REFINER_SEED_TAG, index);
+            // Programs compile afresh per probe: compiling is a small share
+            // of a probe, and a bisection rarely revisits a coordinate.
+            let acc = spec.simulate_paired(point, &params, seed, &BatchProgramCache::new());
             let delta = &acc.deltas[1];
             let (mean, hw) = (delta.mean(), delta.ci95_half_width());
             Ok(CrossoverProbe {
@@ -1782,6 +1807,7 @@ impl CrossoverRefiner {
             model_crossover: None,
             confidence,
             probes,
+            antithetic: self.spec.antithetic,
         })
     }
 

@@ -7,9 +7,14 @@
 //!   waste model to the requested relative tolerance;
 //! * Weibull failure sequences replay bit-identically through `TraceCursor`,
 //!   so common-random-numbers comparisons are exact under non-exponential
-//!   clocks too.
+//!   clocks too;
+//! * simulated refinements reproduce golden probe outcomes bit for bit, at
+//!   every lane width and intra-probe thread count, and antithetic
+//!   refinements count two executions per replication and protocol.
 
-use abft_ckpt_composite::bench::{Axis, CrossoverRefiner, Parameter, SweepSpec};
+use abft_ckpt_composite::bench::{
+    Axis, CrossoverRefinement, CrossoverRefiner, Parameter, SweepSpec,
+};
 use abft_ckpt_composite::composite::params::ModelParams;
 use abft_ckpt_composite::composite::scaling::WeakScalingScenario;
 use abft_ckpt_composite::composite::scenario::ApplicationProfile;
@@ -271,4 +276,161 @@ fn simulated_refinement_agrees_with_the_model_and_runs_under_weibull() {
     .unwrap();
     assert!(weibull.converged);
     assert!(weibull.crossover > 1e5 && weibull.crossover < 1e6);
+}
+
+/// Every probe of a refinement as `(value, delta, ci95)` bit patterns plus
+/// the replications it spent: the exact record a golden outcome pins.
+fn probe_bits(refinement: &CrossoverRefinement) -> Vec<(u64, u64, u64, usize)> {
+    refinement
+        .probes
+        .iter()
+        .map(|p| (p.value.to_bits(), p.delta.to_bits(), p.ci95.to_bits(), p.replications))
+        .collect()
+}
+
+/// A small simulated fig9 refinement along `nodes` (seed 42, paired-delta
+/// probes of 40..200 traces, 2 % tolerance).
+fn small_fig9_refiner(failure: FailureSpec, sign_repeats: usize) -> CrossoverRefiner {
+    let spec = SweepSpec::scaling("fig9", WeakScalingScenario::figure9())
+        .failure_model(failure)
+        .budget(ReplicationBudget::AdaptiveDelta {
+            rel_precision: 0.05,
+            min: 40,
+            max: 200,
+        });
+    CrossoverRefiner::new(spec, Parameter::Nodes)
+        .tolerance(0.02)
+        .sign_repeats(sign_repeats)
+}
+
+/// Probe outcomes of the exponential refinement, recorded with the scalar
+/// engine: an oracle independent of the batch engine the probes default to.
+const GOLDEN_EXPONENTIAL: &[(u64, u64, u64, usize)] = &[
+    (0x40ff57b304a5d2b8, 0x3f6ce46614e48119, 0x3f5c1f17a9b99dd7, 40),
+    (0x4101c6f5fc8acb68, 0xbf51c610e6d7c066, 0x3f56d4143e4bb9b3, 40),
+    (0x4100b967bf6eda62, 0x3f453dad9973d718, 0x3f5ef4f8f9b50cee, 40),
+    (0x4101402eddfcd2e5, 0x3f3bcc55bed97600, 0x3f575c14bc282c59, 40),
+    (0x410183926d43cf26, 0xbf610ef6fd6210cd, 0x3f5e7f201c1409d5, 40),
+];
+
+/// Probe outcomes of the Weibull k = 0.7 refinement with a three-probe
+/// sequential sign test, recorded with the scalar engine.
+const GOLDEN_WEIBULL: &[(u64, u64, u64, usize)] = &[
+    (0x41003ed0c10dedce, 0x3f64fe903dbb5d59, 0x3f616703137f1cf5, 40),
+    (0x41026dad0861d29e, 0xbf5d35193bc72e28, 0x3f61fa5af2440b99, 40),
+    (0x4101563ee4b7e036, 0xbf2b3000d1dc6c02, 0x3f60f800b39258d1, 40),
+    (0x4101563ee4b7e036, 0x3f4420a3def882b2, 0x3f5d48ec04244f7b, 40),
+    (0x4101563ee4b7e036, 0x3f3b0f3a39af04fe, 0x3f636f0f5afdcfd2, 40),
+    (0x4101e1f5f68cd96a, 0xbf6077739d0a0a14, 0x3f5eed7c5e62141a, 40),
+    (0x41019c1a6da25cd0, 0xbf472589ff071132, 0x3f654255b9308c58, 40),
+    (0x41019c1a6da25cd0, 0x3f2026e15b0edf38, 0x3f6241aa97027c2e, 40),
+    (0x41019c1a6da25cd0, 0x3f00094ab5e0d51c, 0x3f631868ef123d39, 40),
+];
+
+/// The exponential refiner at 1 % precision and up to 400 traces, so that
+/// its probes extend past the 40-trace minimum.
+fn growing_fig9_refiner() -> CrossoverRefiner {
+    let mut refiner = small_fig9_refiner(FailureSpec::Exponential, 1);
+    refiner.spec = refiner.spec.budget(ReplicationBudget::AdaptiveDelta {
+        rel_precision: 0.01,
+        min: 40,
+        max: 400,
+    });
+    refiner
+}
+
+/// Probe outcomes of [`growing_fig9_refiner`], recorded with the scalar
+/// engine.
+const GOLDEN_GROWING: &[(u64, u64, u64, usize)] = &[
+    (0x40ff57b304a5d2b8, 0x3f6ce46614e48119, 0x3f5c1f17a9b99dd7, 40),
+    (0x4101c6f5fc8acb68, 0xbf5b2d076740433b, 0x3f50e6acc547d135, 90),
+    (0x4100b967bf6eda62, 0x3f302159abac5777, 0x3f4575d08ceeff19, 240),
+    (0x4101402eddfcd2e5, 0xbf20b6b4c2340230, 0x3f449df99cf92c9e, 190),
+    (0x4100fccb4eb5d6a4, 0x3f336c7ae0a3cc74, 0x3f4472c0ad633579, 290),
+];
+
+#[test]
+fn simulated_refinements_reproduce_their_golden_probes() {
+    let exponential = small_fig9_refiner(FailureSpec::Exponential, 1)
+        .refine(1e5, 1e6)
+        .unwrap();
+    assert_eq!(
+        probe_bits(&exponential),
+        GOLDEN_EXPONENTIAL,
+        "exponential probes moved: {:#x?}",
+        probe_bits(&exponential)
+    );
+    let weibull = small_fig9_refiner(FailureSpec::Weibull { shape: 0.7 }, 3)
+        .refine(1e5, 1e6)
+        .unwrap();
+    assert_eq!(
+        probe_bits(&weibull),
+        GOLDEN_WEIBULL,
+        "Weibull probes moved: {:#x?}",
+        probe_bits(&weibull)
+    );
+    let growing = growing_fig9_refiner().refine(1e5, 1e6).unwrap();
+    assert_eq!(
+        probe_bits(&growing),
+        GOLDEN_GROWING,
+        "growing probes moved: {:#x?}",
+        probe_bits(&growing)
+    );
+    assert!(GOLDEN_GROWING.iter().any(|&(.., replications)| replications > 40));
+}
+
+#[test]
+fn refinements_are_invariant_to_lane_width_and_point_threads() {
+    // The probes dispatch to the batch engine at any width above one and to
+    // the scalar engine at width one: every refinement field, probe bits
+    // included, must be identical across widths, ragged ones too, and
+    // across intra-probe thread counts.  The last refiner's probes grow
+    // past the budget's minimum, so the adaptive extension is covered too.
+    let mut grew = false;
+    for refiner in [
+        small_fig9_refiner(FailureSpec::Exponential, 1),
+        small_fig9_refiner(FailureSpec::Weibull { shape: 0.7 }, 3),
+        growing_fig9_refiner(),
+    ] {
+        let run = |lanes: usize, threads: usize| {
+            let mut refiner = refiner.clone();
+            refiner.spec = refiner.spec.batch_lanes(lanes).point_threads(threads);
+            refiner.refine(1e5, 1e6).unwrap()
+        };
+        let scalar = run(1, 1);
+        grew |= scalar.probes.iter().any(|p| p.replications > 40);
+        for (lanes, threads) in [(33, 1), (128, 1), (128, 2)] {
+            assert_eq!(
+                run(lanes, threads),
+                scalar,
+                "{}: {lanes} lanes on {threads} threads moved the refinement",
+                refiner.spec.failure
+            );
+        }
+    }
+    assert!(grew, "no probe extended past the 40-trace minimum");
+}
+
+#[test]
+fn antithetic_refinements_count_two_executions_per_replication() {
+    let plain = small_fig9_refiner(FailureSpec::Exponential, 1)
+        .refine(1e5, 1e6)
+        .unwrap();
+    assert!(!plain.antithetic);
+    assert_eq!(plain.total_executions(), plain.total_replications());
+
+    let mut refiner = small_fig9_refiner(FailureSpec::Exponential, 1);
+    refiner.spec = refiner.spec.antithetic(true);
+    let anti = refiner.refine(1e5, 1e6).unwrap();
+    assert!(anti.antithetic);
+    let traces: usize = anti.probes.iter().map(|p| p.replications).sum();
+    assert!(traces > 0);
+    // Two protocols per replication, and each replication replays a trace
+    // and its antithetic partner.
+    assert_eq!(anti.total_replications(), 2 * traces);
+    assert_eq!(anti.total_executions(), 4 * traces);
+    // Pairing changes the estimates, not the lane-width invariance.
+    let mut scalar = refiner.clone();
+    scalar.spec = scalar.spec.batch_lanes(1);
+    assert_eq!(scalar.refine(1e5, 1e6).unwrap(), anti);
 }
