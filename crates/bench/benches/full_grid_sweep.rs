@@ -215,16 +215,16 @@ fn report_model_gap_json(c: &mut Criterion) {
     });
 }
 
-/// Batched-SoA-versus-scalar replication throughput, the `BENCH_batch.json`
-/// payload (ISSUE 6's acceptance figure): the reduced Figure-7 grid run
-/// serially on the scalar engine (`batch_lanes 1`) and on the batch engine
-/// at several lane widths.  Because the batch engine is bit-exact, every
-/// run's `results` are asserted identical to the scalar run's before any
-/// timing is reported — the speedup is a pure engine substitution.
+/// Batch-width replication throughput, the `BENCH_batch.json` payload: the
+/// reduced Figure-7 grid run serially on one-lane batches (`batch_lanes 1`,
+/// reported as the `scalar_*` baseline) and at several lane widths.
+/// Because every width is bit-exact, every run's `results` are asserted
+/// identical to the one-lane run's before any timing is reported — the
+/// speedup is a pure width substitution.
 /// When `guard_no_regression` is set (the fast-path-bound sparse grid), the
 /// reporter doubles as a CI no-regression guard: every batch width must
-/// sustain at least the scalar engine's replication throughput, otherwise
-/// the bench panics and the smoke run fails.
+/// sustain at least the one-lane replication throughput, otherwise the
+/// bench panics and the smoke run fails.
 fn report_batch_grid(name: &str, base: SweepSpec, guard_no_regression: bool) -> String {
     let time = |spec: &SweepSpec| {
         let runs = if smoke() { 1 } else { 3 };
@@ -252,7 +252,7 @@ fn report_batch_grid(name: &str, base: SweepSpec, guard_no_regression: bool) -> 
             let (seconds, batch) = time(&grid(lanes));
             assert_eq!(
                 batch.results, scalar.results,
-                "batch engine must be bit-exact with the scalar engine"
+                "every batch width must be bit-exact with one-lane batches"
             );
             if guard_no_regression {
                 assert!(
@@ -283,7 +283,7 @@ fn report_batch_json(c: &mut Criterion) {
     let reps = if smoke() { 50 } else { 500 };
     // The paper's Figure-7 regime (MTBF 1-4 h against a week of work) is
     // failure-dominated: a third to a half of checkpoint periods are
-    // interrupted, so most time goes to the scalar-verbatim retry loops the
+    // interrupted, so most time goes to the per-lane retry loops the
     // lockstep kernel cannot batch.  The sparse grid (MTBF 16-64 h) shows
     // the fast-path-bound regime where batching pays off.
     let fig7 = reduced_fig7().replications(reps);

@@ -36,9 +36,9 @@
 //! machine-readable summary line.
 //!
 //! `--batch-lanes` and `--point-threads` pick the lane width and intra-probe
-//! threads of the batch engine the probes run on (`--batch-lanes 1` = the
-//! scalar engine), as on the sweep CLIs; the output is identical at every
-//! setting.
+//! threads of the batch engine the probes run on (`--batch-lanes 1` runs
+//! one-lane batches), as on the sweep CLIs; the output is identical at
+//! every setting.
 
 use ft_bench::experiment::{failure_spec_from_args, format_value};
 use ft_bench::{

@@ -45,10 +45,7 @@ use ft_sim::batch::{
     accumulate_paired_programs_batch, accumulate_profile_program_batch, BatchProgram,
     BatchProgramCache, DEFAULT_BATCH_LANES,
 };
-use ft_sim::replicate::{
-    accumulate_paired_engine, accumulate_profile_engine, PairedAccumulator, ReplicationBudget,
-    ReplicationPlan, SimStats,
-};
+use ft_sim::replicate::{PairedAccumulator, ReplicationBudget, ReplicationPlan, SimStats};
 use ft_sim::validate::model_waste_with;
 use ft_sim::{Engine, Protocol};
 use rayon::prelude::*;
@@ -244,19 +241,18 @@ pub struct SweepSpec {
     pub epochs: usize,
     /// Master seed; per-task seeds are derived deterministically from it.
     pub seed: u64,
-    /// Lane width of the batched SoA simulation engine the sweep fast path
-    /// dispatches to (`0` or `1` = the scalar engine).  Purely a throughput
-    /// knob: the batch engine is bit-exact with the scalar one (proven by
-    /// the differential oracle harness), so every reported figure is
-    /// identical at any width (CLI: `--batch-lanes`).
+    /// Lane width of the batched SoA simulation engine every simulation
+    /// runs on (`0` and `1` both mean one lane per batch).  Purely a
+    /// throughput knob: every width is bit-exact with the scalar executors
+    /// (proven by the differential oracle harness), so every reported
+    /// figure is identical at any width (CLI: `--batch-lanes`).
     pub batch_lanes: usize,
     /// Intra-point thread count of the batch replication drivers: each
     /// point's replication blocks are split across this many OS threads with
     /// deterministic seed offsets and an order-preserving merge, so results
     /// are bit-identical at every value (CLI: `--point-threads`; `0` = the
-    /// host's available parallelism, `1` = the serial drivers).  Only
-    /// meaningful with `batch_lanes > 1`; composes with the whole-grid
-    /// rayon parallelism of [`SweepSpec::run`].
+    /// host's available parallelism, `1` = the serial drivers).  Composes
+    /// with the whole-grid rayon parallelism of [`SweepSpec::run`].
     pub point_threads: usize,
 }
 
@@ -385,8 +381,9 @@ impl SweepSpec {
         self
     }
 
-    /// Sets the lane width of the batched simulation engine (`0` or `1` =
-    /// scalar engine).  Results are bit-identical at any width.
+    /// Sets the lane width of the batched simulation engine (`0` and `1`
+    /// both mean one lane per batch).  Results are bit-identical at any
+    /// width.
     pub fn batch_lanes(mut self, lanes: usize) -> Self {
         self.batch_lanes = lanes;
         self
@@ -700,21 +697,15 @@ impl SweepSpec {
                 let profile = self.sim_profile(point, &params);
                 let engine = self.engine(point, &params);
                 let seed = task_seed(self.seed, point.index as u64, Some(protocol));
-                // The batch engine is bit-exact with the scalar one, so the
-                // dispatch is purely a throughput decision.
-                let acc = if self.batch_lanes > 1 {
-                    let program = cache.get(protocol, &profile, engine.plan());
-                    accumulate_profile_program_batch(
-                        &engine,
-                        &program,
-                        self.plan(),
-                        seed,
-                        self.batch_lanes,
-                        self.point_threads,
-                    )
-                } else {
-                    accumulate_profile_engine(&engine, protocol, &profile, self.plan(), seed)
-                };
+                let program = cache.get(protocol, &profile, engine.plan());
+                let acc = accumulate_profile_program_batch(
+                    &engine,
+                    &program,
+                    self.plan(),
+                    seed,
+                    self.batch_lanes,
+                    self.point_threads,
+                );
                 Some(SimStats::from_accumulator(protocol, &acc))
             }
             _ => None,
@@ -730,11 +721,9 @@ impl SweepSpec {
     }
 
     /// The paired simulation of one point: every protocol replays the
-    /// failure traces drawn from `seed`.  The one dispatch site of paired
-    /// simulations, shared by grid points and crossover probes: the batch
-    /// engine (programs from `cache`) when `batch_lanes > 1`, the scalar
-    /// engine otherwise.  Both are bit-exact, so the choice only moves
-    /// throughput.
+    /// failure traces drawn from `seed` on the batch engine (programs from
+    /// `cache`).  The one paired simulation site, shared by grid points and
+    /// crossover probes.
     fn simulate_paired(
         &self,
         point: &GridPoint,
@@ -744,25 +733,21 @@ impl SweepSpec {
     ) -> PairedAccumulator {
         let profile = self.sim_profile(point, params);
         let engine = self.engine(point, params);
-        if self.batch_lanes > 1 {
-            let programs: Vec<std::sync::Arc<BatchProgram>> = self
-                .protocols
-                .iter()
-                .map(|&p| cache.get(p, &profile, engine.plan()))
-                .collect();
-            let refs: Vec<&BatchProgram> = programs.iter().map(|p| p.as_ref()).collect();
-            accumulate_paired_programs_batch(
-                &engine,
-                &self.protocols,
-                &refs,
-                self.plan(),
-                seed,
-                self.batch_lanes,
-                self.point_threads,
-            )
-        } else {
-            accumulate_paired_engine(&engine, &self.protocols, &profile, self.plan(), seed)
-        }
+        let programs: Vec<std::sync::Arc<BatchProgram>> = self
+            .protocols
+            .iter()
+            .map(|&p| cache.get(p, &profile, engine.plan()))
+            .collect();
+        let refs: Vec<&BatchProgram> = programs.iter().map(|p| p.as_ref()).collect();
+        accumulate_paired_programs_batch(
+            &engine,
+            &self.protocols,
+            &refs,
+            self.plan(),
+            seed,
+            self.batch_lanes,
+            self.point_threads,
+        )
     }
 
     /// Evaluates one whole point in paired mode: every protocol replays the
@@ -1891,10 +1876,10 @@ pub fn failure_spec_from_args(args: &Args) -> Option<FailureSpec> {
 /// arm keeps the matched-MTBF i.i.d. prediction (and its labels say so) —
 /// the gap columns then measure the effect of breaking the i.i.d.
 /// assumption.
-/// `--batch-lanes` resizes the batched SoA simulation engine (`1` falls
-/// back to the scalar engine) — a pure throughput knob: the batch engine is
-/// bit-exact with the scalar one, so every reported figure is identical at
-/// any width.  `--point-threads` splits each point's replication blocks
+/// `--batch-lanes` resizes the batched SoA simulation engine (`1` runs
+/// one-lane batches) — a pure throughput knob: every width is bit-exact
+/// with the scalar executors, so every reported figure is identical at any
+/// width.  `--point-threads` splits each point's replication blocks
 /// across that many OS threads inside the batch drivers (`0` = host
 /// parallelism) — also bit-exact at every value, and composes with the
 /// whole-grid `--threads` parallelism.

@@ -76,16 +76,16 @@ fn weibull_clocks_are_schedule_independent() {
 fn batch_lane_widths_are_schedule_independent_and_width_invariant() {
     // The batched SoA engine must neither perturb parallel-vs-serial
     // determinism nor the results themselves: every lane width reproduces
-    // the scalar (lanes = 1) sweep bit-for-bit.
-    let scalar = small_fig7_grid().replications(45).batch_lanes(1);
-    let baseline = scalar.run_serial().unwrap();
+    // the one-lane sweep bit-for-bit.
+    let one_lane = small_fig7_grid().replications(45).batch_lanes(1);
+    let baseline = one_lane.run_serial().unwrap();
     for lanes in [1usize, 7, 64, 256] {
         let spec = small_fig7_grid().replications(45).batch_lanes(lanes);
         assert_parallel_matches_serial(&format!("batch lanes {lanes}"), &spec);
         assert_eq!(
             spec.run().unwrap().results,
             baseline.results,
-            "batch lanes {lanes} drifted from the scalar engine"
+            "batch lanes {lanes} drifted from the one-lane sweep"
         );
     }
 }

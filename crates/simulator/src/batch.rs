@@ -12,10 +12,10 @@
 //! # Why lockstep is possible at all
 //!
 //! In every protocol of the study, failures only cause *retries*: they never
-//! change **which** activities run in **what order**.  The sequence of
-//! "program positions" — periods of checkpointed work, forced checkpoints,
-//! ABFT-protected phases — is a pure function of `(protocol, profile,
-//! plan)`.  [`BatchProgram::compile`] materialises that sequence once per
+//! change **which** activities run in **what order**.  The step program of
+//! `engine::emit_steps` — periods of checkpointed work, forced
+//! checkpoints, ABFT-protected phases — is a pure function of `(protocol,
+//! profile, plan)`.  [`BatchProgram::compile`] collects it once per
 //! parameter point; lanes then share the program position while owning their
 //! simulation clocks.
 //!
@@ -24,18 +24,19 @@
 //! For each program step, a lane is advanced by one of two paths:
 //!
 //! * **fast path** — the optimistic pass computes the step's end time with
-//!   *exactly the float additions, in exactly the order*, that the scalar
-//!   engine's first attempt would perform, and commits it only if the step
-//!   provably completes before the lane's next failure.  For a work+checkpoint
+//!   *exactly the float additions, in exactly the order*, that the step's
+//!   first attempt would perform, and commits it only if the step provably
+//!   completes before the lane's next failure.  For a work+checkpoint
 //!   period the single test `(now + work) + ckpt < next_failure` implies the
-//!   scalar engine's two sequential tests (`now + work ≥ (now + work) + ckpt`
+//!   two sequential `try_run` tests (`now + work ≥ (now + work) + ckpt`
 //!   can't hold for a nonnegative checkpoint under round-to-nearest), and the
-//!   committed end time is the bit pattern the scalar clock would hold;
+//!   committed end time is the bit pattern the clock would hold;
 //! * **slow path** — a lane whose step may be interrupted is left untouched
-//!   by the optimistic pass and is then replayed through per-lane code that
-//!   is *verbatim* the scalar control flow of [`crate::engine`] /
-//!   [`crate::clock::SimClock::try_run`], drawing from that lane's own
-//!   failure source.
+//!   by the optimistic pass and then reruns the step on a
+//!   [`SimClock`] over that lane's own failure source, through the one
+//!   interpreter every simulation path shares (`Step::run`).
+//!   At width 1 the batch engine *is* the scalar interpreter behind a
+//!   one-lane fast pass.
 //!
 //! Per-lane failure sequences come from [`BatchFailureSource`]s whose lanes
 //! are bit-identical to the scalar sources (see `ft_platform::batch`), so
@@ -55,23 +56,27 @@
 //! * [`accumulate_paired_engine_batch`] — batch counterpart of
 //!   [`crate::replicate::accumulate_paired_engine`] (common random numbers
 //!   across protocols, paired-delta stopping);
-//! * [`accumulate_profile_program_batch`] / [`accumulate_paired_programs_batch`]
-//!   — the same drivers over a pre-compiled (usually
-//!   [`BatchProgramCache`]d) program, with an intra-point `threads` knob
-//!   that splits replication blocks across OS threads while staying
-//!   bit-identical to the serial drivers (deterministic
-//!   [`SeedStream::nth_seed`] offsets, order-preserving merge, stopping
-//!   checks on the same block boundaries).
+//! * [`accumulate_paired_programs_batch`] — the one replication driver:
+//!   pre-compiled (usually [`BatchProgramCache`]d) programs, one per
+//!   protocol, with an intra-point `threads` knob that splits replication
+//!   blocks across OS threads while staying bit-identical to the serial
+//!   driver (deterministic [`SeedStream::nth_seed`] offsets,
+//!   order-preserving merge, stopping checks on the same block boundaries);
+//!   [`accumulate_profile_program_batch`] is that driver over one program.
+//!
+//! The sweep subsystem runs every simulation through these drivers, at
+//! every `--batch-lanes` width including 1.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use ft_composite::scenario::ApplicationProfile;
 use ft_platform::batch::{BatchFailureSource, BatchFailureStream, BatchTraceBuffer};
-use ft_platform::failure::FailureModel;
+use ft_platform::failure::{FailureModel, FailureSource};
 use ft_platform::rng::SeedStream;
 
-use crate::engine::{Engine, PeriodPlan};
+use crate::clock::SimClock;
+use crate::engine::{emit_steps, Engine, PeriodPlan, Step};
 use crate::protocols::{Protocol, SimOutcome};
 use crate::replicate::{PairedAccumulator, ReplicationBudget, ReplicationPlan};
 use crate::stats::{OutcomeAccumulator, Welford};
@@ -80,22 +85,6 @@ use crate::stats::{OutcomeAccumulator, Welford};
 /// per-step pass and expose plenty of independent dependency chains, small
 /// enough that the SoA state stays resident in L1.
 pub const DEFAULT_BATCH_LANES: usize = 128;
-
-/// One failure-interruptible step of a compiled protocol program.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Step {
-    /// One checkpointed-stream attempt unit: `work` seconds of rollback-
-    /// protected work followed by a checkpoint of cost `ckpt`; a failure
-    /// anywhere in the attempt discards it (after a rollback recovery).
-    Period { work: f64, ckpt: f64 },
-    /// A forced checkpoint retried (after rollback recovery) until clean.
-    Forced { cost: f64 },
-    /// An ABFT-protected work phase: failures cost an ABFT recovery but lose
-    /// no work.
-    AbftWork { work: f64 },
-    /// The forced LIBRARY exit checkpoint, retried after ABFT recoveries.
-    AbftCkpt { cost: f64 },
-}
 
 /// A protocol × profile × plan compiled into the straight-line sequence of
 /// failure-interruptible steps every replication of the point executes.
@@ -106,10 +95,7 @@ enum Step {
 pub struct BatchProgram {
     steps: Vec<Step>,
     base_time: f64,
-    downtime: f64,
-    recovery: f64,
-    recovery_remainder: f64,
-    abft_reconstruction: f64,
+    plan: PeriodPlan,
 }
 
 /// Structure-of-arrays per-lane simulation state: the batch counterpart of a
@@ -153,63 +139,25 @@ impl BatchState {
         source.fill_next_failures(lanes, &mut self.next_failure);
         self.interrupted.clear();
     }
-
-    /// Loads one lane's clock into registers for a slow-path excursion.
-    #[inline]
-    fn load(&self, lane: usize) -> LaneClock {
-        LaneClock {
-            now: self.now[lane],
-            next_failure: self.next_failure[lane],
-            failures: self.failures[lane],
-        }
-    }
-
-    /// Writes a slow-path excursion's result back to the lane's slots.
-    #[inline]
-    fn store(&mut self, lane: usize, clock: LaneClock) {
-        self.now[lane] = clock.now;
-        self.next_failure[lane] = clock.next_failure;
-        self.failures[lane] = clock.failures;
-    }
 }
 
-/// One lane's clock held in registers while its slow path runs — the
-/// register-resident counterpart of [`crate::clock::SimClock`]'s fields, so
-/// the retry loops run on locals exactly like the scalar engine instead of
-/// bounds-checked array accesses.
-#[derive(Debug, Clone, Copy)]
-struct LaneClock {
-    now: f64,
-    next_failure: f64,
-    failures: usize,
+/// Lane `lane` of a batch failure source seen as a scalar
+/// [`FailureSource`]: the slow path runs each interrupted lane on a
+/// [`SimClock`] over it, through the same `Step::run` retry loops as the
+/// scalar executors.
+struct BatchLane<'s, S> {
+    source: &'s mut S,
+    lane: usize,
 }
 
-impl LaneClock {
-    /// The scalar-verbatim clock primitive: mirrors
-    /// [`crate::clock::SimClock::try_run`] bit for bit (early return on
-    /// non-positive durations, strict completion test, eager redraw of the
-    /// lane's next failure on interrupt).
+impl<S: BatchFailureSource> FailureSource for BatchLane<'_, S> {
     #[inline]
-    fn try_run<S: BatchFailureSource>(
-        &mut self,
-        source: &mut S,
-        lane: usize,
-        duration: f64,
-    ) -> crate::clock::ActivityResult {
-        use crate::clock::ActivityResult;
-        if duration <= 0.0 {
-            return ActivityResult::Completed;
-        }
-        if self.now + duration < self.next_failure {
-            self.now += duration;
-            ActivityResult::Completed
-        } else {
-            let progress = (self.next_failure - self.now).max(0.0);
-            self.now = self.next_failure;
-            self.failures += 1;
-            self.next_failure = source.next_failure(lane);
-            ActivityResult::Interrupted { progress }
-        }
+    fn next_failure(&mut self) -> f64 {
+        self.source.next_failure(self.lane)
+    }
+
+    fn mean_interarrival(&self) -> f64 {
+        self.source.mean_interarrival()
     }
 }
 
@@ -255,71 +203,22 @@ fn fast_pass_one(now: &mut [f64], next_failure: &[f64], interrupted: &mut Vec<u3
 }
 
 impl BatchProgram {
-    /// Compiles the straight-line step program `protocol` executes over
-    /// `profile` under `plan` — the exact activity sequence the scalar
-    /// executors of [`crate::engine`] walk, with the retry loops factored
-    /// into the steps.
+    /// Collects the step program `emit_steps` compiles for `protocol`
+    /// over `profile` under `plan`.
     pub fn compile(protocol: Protocol, profile: &ApplicationProfile, plan: &PeriodPlan) -> Self {
         let mut steps = Vec::new();
-        match protocol {
-            Protocol::PurePeriodicCkpt => {
-                push_stream(
-                    &mut steps,
-                    profile.total_duration(),
-                    plan.ckpt_full,
-                    plan.full_period,
-                );
-            }
-            Protocol::BiPeriodicCkpt => {
-                for epoch in profile.epochs() {
-                    push_stream(&mut steps, epoch.general, plan.ckpt_full, plan.full_period);
-                    push_stream(
-                        &mut steps,
-                        epoch.library,
-                        plan.ckpt_library,
-                        plan.library_period,
-                    );
-                }
-            }
-            Protocol::AbftPeriodicCkpt => {
-                for epoch in profile.epochs() {
-                    let work = epoch.general;
-                    if work <= 0.0 {
-                        if epoch.library > 0.0 {
-                            steps.push(Step::Forced {
-                                cost: plan.ckpt_remainder,
-                            });
-                        }
-                    } else if work < plan.full_period {
-                        // Short GENERAL phase: one attempt unit ending in the
-                        // forced REMAINDER checkpoint — structurally the same
-                        // retry loop as a checkpointed-stream period.
-                        steps.push(Step::Period {
-                            work,
-                            ckpt: plan.ckpt_remainder,
-                        });
-                    } else {
-                        push_stream(&mut steps, work, plan.ckpt_full, plan.full_period);
-                    }
-                    if epoch.library > 0.0 {
-                        steps.push(Step::AbftWork {
-                            work: plan.phi * epoch.library,
-                        });
-                        steps.push(Step::AbftCkpt {
-                            cost: plan.ckpt_library,
-                        });
-                    }
-                }
-            }
-        }
+        emit_steps(protocol, profile, plan, |step| steps.push(step));
         Self {
             steps,
             base_time: profile.total_duration(),
-            downtime: plan.downtime,
-            recovery: plan.recovery,
-            recovery_remainder: plan.recovery_remainder,
-            abft_reconstruction: plan.abft_reconstruction,
+            plan: *plan,
         }
+    }
+
+    /// The compiled steps, in execution order.
+    #[inline]
+    pub(crate) fn steps(&self) -> &[Step] {
+        &self.steps
     }
 
     /// The failure-free application duration lanes are normalised against.
@@ -348,48 +247,39 @@ impl BatchProgram {
     /// two adds, a compare, and a select per lane over contiguous arrays —
     /// committing every lane the step completes failure-free and compacting
     /// the rest into a dense worklist of lane indices.  Only the worklist
-    /// lanes take the scalar-verbatim slow path, with each lane's clock held
-    /// in registers for the retry loop — no re-scan of the committed lanes.
+    /// lanes take the slow path, `Step::run` on a [`SimClock`] over the
+    /// lane — no re-scan of the committed lanes.
     pub fn run<S: BatchFailureSource>(&self, source: &mut S, state: &mut BatchState) {
         state.reset(source);
         let lanes = state.lanes();
-        for step in &self.steps {
-            match *step {
-                Step::Period { work, ckpt } => fast_pass_two(
-                    &mut state.now[..lanes],
-                    &state.next_failure[..lanes],
-                    &mut state.interrupted,
-                    work,
-                    ckpt,
-                ),
-                Step::Forced { cost } | Step::AbftCkpt { cost } => fast_pass_one(
-                    &mut state.now[..lanes],
-                    &state.next_failure[..lanes],
-                    &mut state.interrupted,
-                    cost,
-                ),
-                Step::AbftWork { work } => fast_pass_one(
-                    &mut state.now[..lanes],
-                    &state.next_failure[..lanes],
-                    &mut state.interrupted,
-                    work,
-                ),
+        for &step in &self.steps {
+            let (now, next_failure) = (&mut state.now[..lanes], &state.next_failure[..lanes]);
+            match step {
+                Step::Period { work, ckpt } => {
+                    fast_pass_two(now, next_failure, &mut state.interrupted, work, ckpt)
+                }
+                Step::Forced { cost } | Step::AbftWork { work: cost } | Step::AbftCkpt { cost } => {
+                    fast_pass_one(now, next_failure, &mut state.interrupted, cost)
+                }
             }
-            // Interrupted lanes replay through the scalar-verbatim retry
-            // loops; indexing the worklist (instead of holding a borrow on
+            // Interrupted lanes rerun the step from its start on their own
+            // clock; indexing the worklist (instead of holding a borrow on
             // it) keeps `state` free for the per-lane load/store.
             for k in 0..state.interrupted.len() {
                 let lane = state.interrupted[k] as usize;
-                let mut clock = state.load(lane);
-                match *step {
-                    Step::Period { work, ckpt } => {
-                        self.slow_period(&mut clock, source, lane, work, ckpt)
-                    }
-                    Step::Forced { cost } => self.slow_forced(&mut clock, source, lane, cost),
-                    Step::AbftWork { work } => self.slow_abft_work(&mut clock, source, lane, work),
-                    Step::AbftCkpt { cost } => self.slow_abft_ckpt(&mut clock, source, lane, cost),
-                }
-                state.store(lane, clock);
+                let mut clock = SimClock::resume(
+                    BatchLane {
+                        source: &mut *source,
+                        lane,
+                    },
+                    state.now[lane],
+                    state.next_failure[lane],
+                    state.failures[lane],
+                );
+                step.run(&mut clock, &self.plan);
+                state.now[lane] = clock.now();
+                state.next_failure[lane] = clock.next_failure_time();
+                state.failures[lane] = clock.failures();
             }
         }
     }
@@ -402,155 +292,6 @@ impl BatchProgram {
             base_time: self.base_time,
             failures: state.failures[lane],
         }
-    }
-
-    /// Scalar-verbatim rollback recovery on one lane
-    /// ([`crate::clock::SimClock::recover`]).
-    fn lane_recover<S: BatchFailureSource>(
-        &self,
-        clock: &mut LaneClock,
-        source: &mut S,
-        lane: usize,
-    ) {
-        loop {
-            if clock.try_run(source, lane, self.downtime).is_completed()
-                && clock.try_run(source, lane, self.recovery).is_completed()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Scalar-verbatim ABFT recovery on one lane
-    /// ([`crate::engine::abft_recover`]).
-    fn lane_abft_recover<S: BatchFailureSource>(
-        &self,
-        clock: &mut LaneClock,
-        source: &mut S,
-        lane: usize,
-    ) {
-        loop {
-            if clock.try_run(source, lane, self.downtime).is_completed()
-                && clock
-                    .try_run(source, lane, self.recovery_remainder)
-                    .is_completed()
-                && clock
-                    .try_run(source, lane, self.abft_reconstruction)
-                    .is_completed()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Slow path of [`Step::Period`]: verbatim the attempt loop of
-    /// [`crate::engine::checkpointed_stream`] (work retried from scratch
-    /// after rollback recoveries, attempt discarded when the checkpoint is
-    /// interrupted).
-    fn slow_period<S: BatchFailureSource>(
-        &self,
-        clock: &mut LaneClock,
-        source: &mut S,
-        lane: usize,
-        work: f64,
-        ckpt: f64,
-    ) {
-        use crate::clock::ActivityResult;
-        'attempt: loop {
-            let mut done = 0.0;
-            while done < work {
-                match clock.try_run(source, lane, work - done) {
-                    ActivityResult::Completed => done = work,
-                    ActivityResult::Interrupted { .. } => {
-                        self.lane_recover(clock, source, lane);
-                        done = 0.0;
-                    }
-                }
-            }
-            match clock.try_run(source, lane, ckpt) {
-                ActivityResult::Completed => break 'attempt,
-                ActivityResult::Interrupted { .. } => {
-                    self.lane_recover(clock, source, lane);
-                }
-            }
-        }
-    }
-
-    /// Slow path of [`Step::Forced`]: verbatim
-    /// [`crate::engine::forced_checkpoint`].
-    fn slow_forced<S: BatchFailureSource>(
-        &self,
-        clock: &mut LaneClock,
-        source: &mut S,
-        lane: usize,
-        cost: f64,
-    ) {
-        use crate::clock::ActivityResult;
-        loop {
-            match clock.try_run(source, lane, cost) {
-                ActivityResult::Completed => return,
-                ActivityResult::Interrupted { .. } => {
-                    self.lane_recover(clock, source, lane);
-                }
-            }
-        }
-    }
-
-    /// Slow path of [`Step::AbftWork`]: verbatim the work loop of
-    /// [`crate::engine::abft_protected_stream`] — progress survives failures.
-    fn slow_abft_work<S: BatchFailureSource>(
-        &self,
-        clock: &mut LaneClock,
-        source: &mut S,
-        lane: usize,
-        work: f64,
-    ) {
-        use crate::clock::ActivityResult;
-        let mut done = 0.0;
-        while done < work {
-            match clock.try_run(source, lane, work - done) {
-                ActivityResult::Completed => done = work,
-                ActivityResult::Interrupted { progress } => {
-                    done += progress;
-                    self.lane_abft_recover(clock, source, lane);
-                }
-            }
-        }
-    }
-
-    /// Slow path of [`Step::AbftCkpt`]: verbatim the exit-checkpoint loop of
-    /// [`crate::engine::abft_protected_stream`].
-    fn slow_abft_ckpt<S: BatchFailureSource>(
-        &self,
-        clock: &mut LaneClock,
-        source: &mut S,
-        lane: usize,
-        cost: f64,
-    ) {
-        while !clock.try_run(source, lane, cost).is_completed() {
-            self.lane_abft_recover(clock, source, lane);
-        }
-    }
-}
-
-/// Unrolls [`crate::engine::checkpointed_stream`]'s outer period loop into
-/// [`Step::Period`]s, replicating its float bookkeeping (`saved` accumulation
-/// and `min` clamping) exactly so the per-step `work` values are the bit
-/// patterns the scalar engine computes.
-fn push_stream(steps: &mut Vec<Step>, work: f64, ckpt: f64, period: f64) {
-    if work <= 0.0 {
-        return;
-    }
-    let work_per_period = if period.is_finite() && period > ckpt {
-        period - ckpt
-    } else {
-        work
-    };
-    let mut saved = 0.0;
-    while saved < work {
-        let target = work_per_period.min(work - saved);
-        steps.push(Step::Period { work: target, ckpt });
-        saved += target;
     }
 }
 
@@ -786,8 +527,7 @@ fn segment_seeds(master_seed: u64, start: usize, width: usize) -> Vec<u64> {
 /// but consume the **same seed stream in the same order**, feed the
 /// [`OutcomeAccumulator`] with the same push sequence and apply the same
 /// block-wise adaptive stopping checks — the returned accumulator is
-/// bit-identical to the scalar path's (the sweep fast path relies on this to
-/// switch freely between the engines).
+/// bit-identical to the scalar path's.
 ///
 /// `lanes` is the batch width; replication blocks that are not a multiple of
 /// it run a ragged tail batch of the remaining width.
@@ -804,17 +544,9 @@ pub fn accumulate_profile_engine_batch(
 }
 
 /// [`accumulate_profile_engine_batch`] over a pre-compiled program, with an
-/// intra-point `threads` knob.
-///
-/// `threads == 0` resolves to the host's available parallelism; `threads <=
-/// 1` runs the serial driver.  The parallel driver splits replication blocks
-/// into lane-width segments executed across scoped OS threads: every
-/// segment derives its seeds by [`SeedStream::nth_seed`] offset (the exact
-/// values the serial seed stream yields at those positions), results merge
-/// into the accumulator in replication order, and adaptive stopping is
-/// evaluated on the same block boundaries — so the result is bit-identical
-/// at every thread count, speculating at most one wave of blocks past the
-/// stopping decision.
+/// intra-point `threads` knob: the paired driver
+/// ([`accumulate_paired_programs_batch`]) over this one program, which has
+/// no deltas to stream and stops by the marginal rule alone.
 pub fn accumulate_profile_program_batch(
     engine: &Engine,
     program: &BatchProgram,
@@ -823,101 +555,13 @@ pub fn accumulate_profile_program_batch(
     lanes: usize,
     threads: usize,
 ) -> OutcomeAccumulator {
-    let plan: ReplicationPlan = plan.into();
-    let lanes = lanes.max(1);
-    let threads = resolve_threads(threads);
-    let mut acc = OutcomeAccumulator::new();
-    if threads > 1 {
-        let mut done = 0usize;
-        'drive: loop {
-            let blocks = next_wave(&plan.budget, done, lanes, threads);
-            if blocks.is_empty() {
-                break;
-            }
-            let segments = wave_segments(&blocks, lanes);
-            let results = run_segments(&segments, threads, |start, width| {
-                let seeds = segment_seeds(master_seed, start, width);
-                let mut stream = BatchFailureStream::new(*engine.failure_model(), &seeds);
-                let mut state = BatchState::new();
-                program.run(&mut stream, &mut state);
-                let firsts: Vec<SimOutcome> =
-                    (0..width).map(|lane| program.outcome(&state, lane)).collect();
-                let partners: Vec<SimOutcome> = if plan.antithetic {
-                    stream.reset_antithetic(&seeds);
-                    program.run(&mut stream, &mut state);
-                    (0..width).map(|lane| program.outcome(&state, lane)).collect()
-                } else {
-                    Vec::new()
-                };
-                (firsts, partners)
-            });
-            // Merge in replication order, block by block, replicating the
-            // serial push sequence and stopping boundaries exactly; a wave
-            // that over-speculated simply drops its unmerged tail.
-            let mut segment = 0usize;
-            for &(_, block_len) in &blocks {
-                let mut merged = 0usize;
-                while merged < block_len {
-                    let (firsts, partners) = &results[segment];
-                    if plan.antithetic {
-                        for (first, partner) in firsts.iter().zip(partners) {
-                            acc.push_pair(first, partner);
-                        }
-                    } else {
-                        for outcome in firsts {
-                            acc.push(outcome);
-                        }
-                    }
-                    merged += firsts.len();
-                    segment += 1;
-                }
-                done += block_len;
-                if plan.budget.satisfied(&acc.waste) {
-                    break 'drive;
-                }
-            }
-        }
-        return acc;
-    }
-    let mut seeds = SeedStream::new(master_seed);
-    let mut seed_buf = vec![0u64; lanes];
-    let mut stream = BatchFailureStream::new(*engine.failure_model(), &[]);
-    let mut state = BatchState::new();
-    let mut outcomes: Vec<SimOutcome> = Vec::with_capacity(lanes);
-    let mut done = 0usize;
-    loop {
-        let block = plan.budget.next_block(done);
-        if block == 0 {
-            break;
-        }
-        let mut remaining = block;
-        while remaining > 0 {
-            let width = remaining.min(lanes);
-            let chunk = &mut seed_buf[..width];
-            seeds.fill(chunk);
-            stream.reset(chunk);
-            program.run(&mut stream, &mut state);
-            outcomes.clear();
-            outcomes.extend((0..width).map(|lane| program.outcome(&state, lane)));
-            if plan.antithetic {
-                stream.reset_antithetic(chunk);
-                program.run(&mut stream, &mut state);
-                for (lane, first) in outcomes.iter().enumerate() {
-                    acc.push_pair(first, &program.outcome(&state, lane));
-                }
-            } else {
-                for outcome in &outcomes {
-                    acc.push(outcome);
-                }
-            }
-            remaining -= width;
-        }
-        done += block;
-        if plan.budget.satisfied(&acc.waste) {
-            break;
-        }
-    }
-    acc
+    let mut acc = PairedAccumulator {
+        protocols: Vec::new(),
+        outcomes: vec![OutcomeAccumulator::new()],
+        deltas: vec![Welford::new()],
+    };
+    drive_programs(engine, &[program], plan.into(), master_seed, lanes, threads, &mut acc);
+    std::mem::take(&mut acc.outcomes[0])
 }
 
 /// Batch counterpart of [`crate::replicate::accumulate_paired_engine`]: all
@@ -946,9 +590,17 @@ pub fn accumulate_paired_engine_batch(
 type PairedSegment = (Vec<Vec<SimOutcome>>, Vec<Vec<SimOutcome>>);
 
 /// [`accumulate_paired_engine_batch`] over pre-compiled programs (one per
-/// protocol, same order), with the same intra-point `threads` knob — and the
-/// same bit-identity across thread counts — as
-/// [`accumulate_profile_program_batch`].
+/// protocol, same order), with an intra-point `threads` knob.
+///
+/// `threads == 0` resolves to the host's available parallelism; `threads <=
+/// 1` runs the serial driver.  The parallel driver splits replication blocks
+/// into lane-width segments executed across scoped OS threads: every
+/// segment derives its seeds by [`SeedStream::nth_seed`] offset (the exact
+/// values the serial seed stream yields at those positions), results merge
+/// into the accumulator in replication order, and stopping is evaluated on
+/// the same block boundaries — so the result is bit-identical at every
+/// thread count, speculating at most one wave of blocks past the stopping
+/// decision.
 pub fn accumulate_paired_programs_batch(
     engine: &Engine,
     protocols: &[Protocol],
@@ -963,18 +615,34 @@ pub fn accumulate_paired_programs_batch(
         programs.len(),
         "one compiled program per protocol, in protocol order"
     );
-    let plan: ReplicationPlan = plan.into();
-    let budget = plan.budget;
-    let lanes = lanes.max(1);
-    let threads = resolve_threads(threads);
     let mut acc = PairedAccumulator {
         protocols: protocols.to_vec(),
         outcomes: vec![OutcomeAccumulator::new(); protocols.len()],
         deltas: vec![Welford::new(); protocols.len()],
     };
-    if protocols.is_empty() {
-        return acc;
+    if !protocols.is_empty() {
+        drive_programs(engine, programs, plan.into(), master_seed, lanes, threads, &mut acc);
     }
+    acc
+}
+
+/// The one replication driver of the batch engine: runs every program over
+/// the same per-lane failure sequences, `lanes` replications at a time, and
+/// pushes the outcomes (and their waste deltas against `programs[0]`) into
+/// `acc`, whose `outcomes` and `deltas` hold one slot per program.
+fn drive_programs(
+    engine: &Engine,
+    programs: &[&BatchProgram],
+    plan: ReplicationPlan,
+    master_seed: u64,
+    lanes: usize,
+    threads: usize,
+    acc: &mut PairedAccumulator,
+) {
+    let budget = plan.budget;
+    let lanes = lanes.max(1);
+    let threads = resolve_threads(threads);
+    let model = *engine.failure_model();
     // Serial and parallel drivers share the per-segment merge: the per-lane,
     // per-protocol push sequence of the scalar paired loop.
     let merge_segment =
@@ -1016,6 +684,30 @@ pub fn accumulate_paired_programs_batch(
             && acc.deltas[1..].iter().all(|d| budget.delta_resolved(d));
         deltas_resolved || acc.outcomes.iter().all(|o| budget.satisfied(&o.waste))
     };
+    // Every program's stream restarts from the same segment seeds — the
+    // batch form of replaying one recorded trace per seed to all protocols.
+    let run_segment = |stream: &mut BatchFailureStream<_>,
+                       state: &mut BatchState,
+                       seeds: &[u64],
+                       firsts: &mut [Vec<SimOutcome>],
+                       partners: &mut [Vec<SimOutcome>]| {
+        let outcomes = |program: &BatchProgram, state: &BatchState, out: &mut Vec<SimOutcome>| {
+            out.clear();
+            out.extend((0..seeds.len()).map(|lane| program.outcome(state, lane)));
+        };
+        for (program, out) in programs.iter().zip(firsts.iter_mut()) {
+            stream.reset(seeds);
+            program.run(stream, state);
+            outcomes(program, state, out);
+        }
+        if plan.antithetic {
+            for (program, out) in programs.iter().zip(partners.iter_mut()) {
+                stream.reset_antithetic(seeds);
+                program.run(stream, state);
+                outcomes(program, state, out);
+            }
+        }
+    };
     if threads > 1 {
         let mut done = 0usize;
         'drive: loop {
@@ -1026,58 +718,38 @@ pub fn accumulate_paired_programs_batch(
             let segments = wave_segments(&blocks, lanes);
             let results = run_segments(&segments, threads, |start, width| -> PairedSegment {
                 let seeds = segment_seeds(master_seed, start, width);
-                let mut stream = BatchFailureStream::new(*engine.failure_model(), &seeds);
-                let mut state = BatchState::new();
-                let mut firsts = Vec::with_capacity(programs.len());
-                let mut partners = Vec::with_capacity(programs.len());
-                // Every protocol's stream restarts from the same segment
-                // seeds — common random numbers, exactly like the serial
-                // chunk loop.
-                for program in programs {
-                    stream.reset(&seeds);
-                    program.run(&mut stream, &mut state);
-                    firsts.push(
-                        (0..width)
-                            .map(|lane| program.outcome(&state, lane))
-                            .collect::<Vec<SimOutcome>>(),
-                    );
-                }
-                if plan.antithetic {
-                    for program in programs {
-                        stream.reset_antithetic(&seeds);
-                        program.run(&mut stream, &mut state);
-                        partners.push(
-                            (0..width)
-                                .map(|lane| program.outcome(&state, lane))
-                                .collect::<Vec<SimOutcome>>(),
-                        );
-                    }
-                }
+                let mut stream = BatchFailureStream::new(model, &[]);
+                let mut firsts = vec![Vec::new(); programs.len()];
+                let mut partners = vec![Vec::new(); programs.len()];
+                run_segment(&mut stream, &mut BatchState::new(), &seeds, &mut firsts, &mut partners);
                 (firsts, partners)
             });
+            // Merge in replication order, block by block, replicating the
+            // serial push sequence and stopping boundaries exactly; a wave
+            // that over-speculated simply drops its unmerged tail.
             let mut segment = 0usize;
             for &(_, block_len) in &blocks {
                 let mut merged = 0usize;
                 while merged < block_len {
                     let (firsts, partners) = &results[segment];
-                    merge_segment(&mut acc, firsts, partners);
+                    merge_segment(acc, firsts, partners);
                     merged += firsts[0].len();
                     segment += 1;
                 }
                 done += block_len;
-                if stopped(&acc) {
+                if stopped(acc) {
                     break 'drive;
                 }
             }
         }
-        return acc;
+        return;
     }
     let mut seeds = SeedStream::new(master_seed);
     let mut seed_buf = vec![0u64; lanes];
-    let mut stream = BatchFailureStream::new(*engine.failure_model(), &[]);
+    let mut stream = BatchFailureStream::new(model, &[]);
     let mut state = BatchState::new();
-    let mut firsts: Vec<Vec<SimOutcome>> = vec![Vec::with_capacity(lanes); protocols.len()];
-    let mut partners: Vec<Vec<SimOutcome>> = vec![Vec::with_capacity(lanes); protocols.len()];
+    let mut firsts: Vec<Vec<SimOutcome>> = vec![Vec::with_capacity(lanes); programs.len()];
+    let mut partners: Vec<Vec<SimOutcome>> = vec![Vec::with_capacity(lanes); programs.len()];
     let mut done = 0usize;
     loop {
         let block = budget.next_block(done);
@@ -1089,32 +761,15 @@ pub fn accumulate_paired_programs_batch(
             let width = remaining.min(lanes);
             let chunk = &mut seed_buf[..width];
             seeds.fill(chunk);
-            // Every protocol's stream restarts from the same chunk seeds —
-            // the batch form of replaying one recorded trace per seed to all
-            // protocols.
-            for (i, program) in programs.iter().enumerate() {
-                stream.reset(chunk);
-                program.run(&mut stream, &mut state);
-                firsts[i].clear();
-                firsts[i].extend((0..width).map(|lane| program.outcome(&state, lane)));
-            }
-            if plan.antithetic {
-                for (i, program) in programs.iter().enumerate() {
-                    stream.reset_antithetic(chunk);
-                    program.run(&mut stream, &mut state);
-                    partners[i].clear();
-                    partners[i].extend((0..width).map(|lane| program.outcome(&state, lane)));
-                }
-            }
-            merge_segment(&mut acc, &firsts, &partners);
+            run_segment(&mut stream, &mut state, chunk, &mut firsts, &mut partners);
+            merge_segment(acc, &firsts, &partners);
             remaining -= width;
         }
         done += block;
-        if stopped(&acc) {
+        if stopped(acc) {
             break;
         }
     }
-    acc
 }
 
 #[cfg(test)]

@@ -6,8 +6,10 @@
 //! studies) — or a [`ft_platform::trace::TraceCursor`] replaying a recorded
 //! [`ft_platform::trace::TraceBuffer`], which is how the replication fast
 //! path shows the **same** failure sequence to every protocol (common
-//! random numbers).  Either way, simulating an execution allocates nothing
-//! on the failure path.
+//! random numbers) — or one lane of a batch failure source, which is how
+//! the batch engine's slow path reruns an interrupted lane on this very
+//! clock ([`SimClock::resume`] over the lane's state).  Either way,
+//! simulating an execution allocates nothing on the failure path.
 
 use ft_platform::failure::{ExponentialFailures, FailureModel, FailureSource, FailureStream};
 
@@ -122,6 +124,7 @@ impl<F: FailureSource> SimClock<F> {
     /// Attempts to run an activity of the given duration.  Advances the clock
     /// either to the end of the activity or to the failure that interrupts
     /// it (in which case the next failure is drawn).
+    #[inline]
     pub fn try_run(&mut self, duration: f64) -> ActivityResult {
         if duration <= 0.0 {
             return ActivityResult::Completed;

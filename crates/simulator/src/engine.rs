@@ -1,7 +1,6 @@
-//! The protocol engine: a shared event loop driving pluggable executors.
+//! The protocol engine: one step program per protocol, one interpreter.
 //!
-//! Where the original simulator hard-coded one epoch unfolding per protocol,
-//! this module factors the machinery into three layers:
+//! The module has four layers:
 //!
 //! * [`PeriodPlan`] — everything a protocol needs that can be computed
 //!   *once per parameter point* instead of once per phase: the optimal
@@ -9,15 +8,20 @@
 //!   checkpoint costs, the recovery costs.  Replications of the same point
 //!   share the plan, keeping `sqrt`s and parameter validation off the
 //!   simulation hot path;
-//! * the shared event loop — [`checkpointed_stream`], [`forced_checkpoint`]
-//!   and [`abft_protected_stream`], the failure-interruptible building
-//!   blocks every protocol composes;
+//! * `emit_steps` — the one protocol compiler: it walks a multi-epoch
+//!   [`ApplicationProfile`] and emits the protocol's straight-line program
+//!   of failure-interruptible [`Step`]s (checkpointed periods, forced
+//!   checkpoints, ABFT-protected work and its exit checkpoint);
+//! * `Step::run` — the one interpreter: each step kind's retry loop, with
+//!   rollback and ABFT recovery.  The scalar executors, the batch engine's
+//!   slow path ([`crate::batch`]) and crash-resume ([`crate::resume`]) all
+//!   run steps through it;
 //! * [`ProtocolExecutor`] — the pluggable strategy: given a clock, a
-//!   multi-epoch [`ApplicationProfile`] and the plan, unfold the whole
-//!   application.  [`PureExecutor`], [`BiExecutor`] and
-//!   [`CompositeExecutor`] implement the paper's three protocols; new
-//!   protocols (e.g. forward/backward composite recovery schemes) plug in
-//!   without touching the engine or the sweep subsystem.
+//!   profile and the plan, unfold the whole application.  [`PureExecutor`],
+//!   [`BiExecutor`] and [`CompositeExecutor`] name the paper's three
+//!   protocols and interpret their programs as they are emitted; a new
+//!   protocol (e.g. a forward/backward composite recovery scheme) adds its
+//!   steps here and runs everywhere.
 //!
 //! The executors are generic over the clock's [`FailureSource`], so the same
 //! protocol code runs under exponential (the paper) and Weibull (robustness
@@ -27,12 +31,13 @@
 //! turning protocol comparisons into paired comparisons.
 //!
 //! For a single-epoch profile the engine reproduces the pre-refactor
-//! `simulate()` results on the same seed (see the pinned-seed regression
-//! test in `tests/engine_regression.rs`).
+//! `simulate()` results on the same seed, and multi-epoch profiles
+//! reproduce golden outcomes under every failure source (see the pinned
+//! regression tests in `tests/engine_regression.rs`).
 
 use ft_composite::model::analytic::{AnyWasteModel, WasteModel};
 use ft_composite::params::ModelParams;
-use ft_composite::scenario::{ApplicationProfile, Epoch};
+use ft_composite::scenario::ApplicationProfile;
 use ft_platform::failure::{
     AnyFailureModel, ExponentialFailures, FailureModel, FailureSource, FailureSpec, FailureStream,
 };
@@ -107,18 +112,122 @@ impl PeriodPlan {
     }
 }
 
-/// Runs `work` seconds of useful work protected by periodic checkpoints of
-/// cost `ckpt` at period `period` (pass `+∞` to disable periodic
-/// checkpointing and save the phase in one attempt).  Work performed since
-/// the last completed checkpoint is lost when a failure strikes — wherever
-/// it strikes, during the work or during the checkpoint itself.
-pub fn checkpointed_stream<F: FailureSource>(
-    clock: &mut SimClock<F>,
-    work: f64,
-    ckpt: f64,
-    period: f64,
+/// One failure-interruptible step of a compiled protocol program — the
+/// single intermediate form every simulation path runs.
+///
+/// In every protocol of the study, failures only cause *retries*: they never
+/// change **which** activities run in **what order**.  The step sequence is
+/// therefore a pure function of `(protocol, profile, plan)` (`emit_steps`),
+/// and each step carries its own retry loop (`Step::run`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Step {
+    /// One checkpointed-stream attempt unit: `work` seconds of rollback-
+    /// protected work followed by a checkpoint of cost `ckpt`; a failure
+    /// anywhere in the attempt discards it (after a rollback recovery).
+    Period {
+        /// Useful work of the period, seconds.
+        work: f64,
+        /// Cost of the checkpoint that makes the period durable.
+        ckpt: f64,
+    },
+    /// A forced checkpoint retried (after rollback recovery) until clean.
+    Forced {
+        /// Cost of the checkpoint.
+        cost: f64,
+    },
+    /// An ABFT-protected work phase: failures cost an ABFT recovery but lose
+    /// no work.
+    AbftWork {
+        /// φ-inflated LIBRARY work, seconds.
+        work: f64,
+    },
+    /// The forced LIBRARY exit checkpoint, retried after ABFT recoveries
+    /// (the library data is still checksum-encoded).
+    AbftCkpt {
+        /// Cost of the checkpoint.
+        cost: f64,
+    },
+}
+
+/// Compiles `protocol` over `profile` under `plan` into its step program,
+/// handing each [`Step`] to `emit` in execution order — the one protocol
+/// compiler.  The scalar executors interpret the steps as they come; the
+/// batch engine and crash-resume collect them.
+pub(crate) fn emit_steps(
+    protocol: Protocol,
+    profile: &ApplicationProfile,
     plan: &PeriodPlan,
+    mut emit: impl FnMut(Step),
 ) {
+    match protocol {
+        // Phase-oblivious: the whole application — all epochs, GENERAL and
+        // LIBRARY phases alike — is one checkpointed stream.
+        Protocol::PurePeriodicCkpt => emit_stream(
+            profile.total_duration(),
+            plan.ckpt_full,
+            plan.full_period,
+            &mut emit,
+        ),
+        // Phase-aware: full checkpoints in GENERAL phases, incremental (ρC)
+        // ones in LIBRARY phases; recovery still reloads everything.
+        Protocol::BiPeriodicCkpt => {
+            for epoch in profile.epochs() {
+                emit_stream(epoch.general, plan.ckpt_full, plan.full_period, &mut emit);
+                emit_stream(
+                    epoch.library,
+                    plan.ckpt_library,
+                    plan.library_period,
+                    &mut emit,
+                );
+            }
+        }
+        // Composite: periodic checkpointing in GENERAL phases ending in the
+        // forced entry checkpoint of the REMAINDER dataset, ABFT inside
+        // LIBRARY phases ending in the forced exit checkpoint of the LIBRARY
+        // dataset.
+        Protocol::AbftPeriodicCkpt => {
+            for epoch in profile.epochs() {
+                let work = epoch.general;
+                if work <= 0.0 {
+                    // Even with no GENERAL work, entering the library
+                    // requires the forced REMAINDER checkpoint.
+                    if epoch.library > 0.0 {
+                        emit(Step::Forced {
+                            cost: plan.ckpt_remainder,
+                        });
+                    }
+                } else if work < plan.full_period {
+                    // Short phase: no periodic checkpoint, a failure rolls
+                    // back to the start of the phase, which ends with the
+                    // forced REMAINDER checkpoint — one attempt unit.
+                    emit(Step::Period {
+                        work,
+                        ckpt: plan.ckpt_remainder,
+                    });
+                } else {
+                    // Long phase: the last periodic checkpoint doubles as
+                    // the forced entry checkpoint (the paper's "the last
+                    // periodic checkpoint replaces that of size C_L̄").
+                    emit_stream(work, plan.ckpt_full, plan.full_period, &mut emit);
+                }
+                if epoch.library > 0.0 {
+                    emit(Step::AbftWork {
+                        work: plan.phi * epoch.library,
+                    });
+                    emit(Step::AbftCkpt {
+                        cost: plan.ckpt_library,
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// Emits `work` seconds of useful work protected by periodic checkpoints of
+/// cost `ckpt` at period `period` (`+∞` saves the stream in one attempt) as
+/// one [`Step::Period`] per checkpoint period.  Work performed since the
+/// last completed checkpoint is lost when a failure strikes.
+fn emit_stream(work: f64, ckpt: f64, period: f64, mut emit: impl FnMut(Step)) {
     if work <= 0.0 {
         return;
     }
@@ -131,51 +240,94 @@ pub fn checkpointed_stream<F: FailureSource>(
     let mut saved = 0.0;
     while saved < work {
         let target = work_per_period.min(work - saved);
-        // One attempt = the period's work followed by its checkpoint; any
-        // failure before the checkpoint completes discards the attempt.
-        'attempt: loop {
-            // Execute the work of this period.
-            let mut done = 0.0;
-            while done < target {
-                match clock.try_run(target - done) {
-                    ActivityResult::Completed => done = target,
-                    ActivityResult::Interrupted { .. } => {
-                        clock.recover(plan.downtime, plan.recovery);
-                        done = 0.0;
-                    }
-                }
-            }
-            // Take the checkpoint that makes this period's work durable.
-            match clock.try_run(ckpt) {
-                ActivityResult::Completed => break 'attempt,
-                ActivityResult::Interrupted { .. } => {
-                    clock.recover(plan.downtime, plan.recovery);
-                    // The checkpoint did not complete: the period's work is
-                    // lost and the attempt restarts.
-                }
-            }
-        }
+        emit(Step::Period { work: target, ckpt });
         saved += target;
     }
 }
 
-/// Takes a forced checkpoint of the given cost, retrying (after a rollback
-/// recovery) until it completes.
-pub fn forced_checkpoint<F: FailureSource>(clock: &mut SimClock<F>, cost: f64, plan: &PeriodPlan) {
+impl Step {
+    /// Runs the step to completion on `clock`, retrying after every failure
+    /// — the one retry loop of each step kind, shared by the scalar
+    /// executors, the batch engine's slow path and crash-resume.
+    #[inline(always)]
+    pub(crate) fn run<F: FailureSource>(self, clock: &mut SimClock<F>, plan: &PeriodPlan) {
+        self.run_from(clock, plan, 0.0, || false);
+    }
+
+    /// `Step::run` entered `done` seconds into an [`Step::AbftWork`] step
+    /// (`0.0` for a fresh step).  After every ABFT recovery inside
+    /// `AbftWork`, where no work is lost, `suspend` may stop the step: the
+    /// call then returns `Some(done)` and resuming with that `done` on the
+    /// same clock continues bit-identically.
+    #[inline(always)]
+    pub(crate) fn run_from<F: FailureSource>(
+        self,
+        clock: &mut SimClock<F>,
+        plan: &PeriodPlan,
+        done: f64,
+        suspend: impl FnMut() -> bool,
+    ) -> Option<f64> {
+        match self {
+            Step::Period { work, ckpt } => run_period(clock, work, ckpt, plan),
+            Step::Forced { cost } => {
+                while !clock.try_run(cost).is_completed() {
+                    clock.recover(plan.downtime, plan.recovery);
+                }
+            }
+            Step::AbftWork { work } => return run_abft_work(clock, work, plan, done, suspend),
+            Step::AbftCkpt { cost } => {
+                while !clock.try_run(cost).is_completed() {
+                    abft_recover(clock, plan);
+                }
+            }
+        }
+        None
+    }
+}
+
+/// The retry loop of [`Step::Period`]: the period's work restarts from
+/// scratch after a rollback, and a failure during its checkpoint discards
+/// the attempt.
+fn run_period<F: FailureSource>(clock: &mut SimClock<F>, work: f64, ckpt: f64, plan: &PeriodPlan) {
     loop {
-        match clock.try_run(cost) {
-            ActivityResult::Completed => return,
-            ActivityResult::Interrupted { .. } => {
-                clock.recover(plan.downtime, plan.recovery);
+        while !clock.try_run(work).is_completed() {
+            clock.recover(plan.downtime, plan.recovery);
+        }
+        if clock.try_run(ckpt).is_completed() {
+            return;
+        }
+        clock.recover(plan.downtime, plan.recovery);
+    }
+}
+
+/// The retry loop of [`Step::AbftWork`] (see [`Step::run_from`]): failures
+/// cost an ABFT recovery but lose no work.
+fn run_abft_work<F: FailureSource>(
+    clock: &mut SimClock<F>,
+    work: f64,
+    plan: &PeriodPlan,
+    mut done: f64,
+    mut suspend: impl FnMut() -> bool,
+) -> Option<f64> {
+    while done < work {
+        match clock.try_run(work - done) {
+            ActivityResult::Completed => done = work,
+            ActivityResult::Interrupted { progress } => {
+                done += progress;
+                abft_recover(clock, plan);
+                if suspend() {
+                    return Some(done);
+                }
             }
         }
     }
+    None
 }
 
 /// ABFT recovery: downtime, reload of the REMAINDER dataset from the entry
 /// checkpoint, reconstruction of the LIBRARY dataset from the checksums.
 /// Failures during the recovery restart it.
-pub fn abft_recover<F: FailureSource>(clock: &mut SimClock<F>, plan: &PeriodPlan) {
+fn abft_recover<F: FailureSource>(clock: &mut SimClock<F>, plan: &PeriodPlan) {
     loop {
         if clock.try_run(plan.downtime).is_completed()
             && clock.try_run(plan.recovery_remainder).is_completed()
@@ -186,53 +338,40 @@ pub fn abft_recover<F: FailureSource>(clock: &mut SimClock<F>, plan: &PeriodPlan
     }
 }
 
-/// ABFT-protected execution of `library` seconds of LIBRARY work: the work
-/// is inflated by `φ`, failures cost an ABFT recovery but lose **no work**,
-/// and the phase ends with the forced exit checkpoint of the LIBRARY
-/// dataset.
-pub fn abft_protected_stream<F: FailureSource>(
-    clock: &mut SimClock<F>,
-    library: f64,
-    plan: &PeriodPlan,
-) {
-    if library <= 0.0 {
-        return;
-    }
-    let abft_work = plan.phi * library;
-    let mut done = 0.0;
-    while done < abft_work {
-        match clock.try_run(abft_work - done) {
-            ActivityResult::Completed => done = abft_work,
-            ActivityResult::Interrupted { progress } => {
-                // ABFT recovery: the work performed so far is NOT lost.
-                done += progress;
-                abft_recover(clock, plan);
-            }
-        }
-    }
-    // Forced exit checkpoint of the LIBRARY dataset. A failure during the
-    // checkpoint is recovered with ABFT (the library data is still encoded)
-    // and the checkpoint is retried.
-    while !clock.try_run(plan.ckpt_library).is_completed() {
-        abft_recover(clock, plan);
-    }
-}
-
 /// A pluggable fault-tolerance protocol: unfolds a whole application
 /// profile over the failure stream of a clock, charging every
 /// protocol-specific overhead.
 pub trait ProtocolExecutor<F: FailureSource = FailureStream<ExponentialFailures>> {
-    /// Which protocol this executor implements (used for reporting).
+    /// Which protocol this executor implements.
     fn protocol(&self) -> Protocol;
 
-    /// Unfolds `profile` on `clock` under this protocol.
-    fn execute(&self, clock: &mut SimClock<F>, profile: &ApplicationProfile, plan: &PeriodPlan);
+    /// Unfolds `profile` on `clock` under this protocol.  The default
+    /// interprets the protocol's step program as `emit_steps` emits it,
+    /// so no program is allocated per execution.
+    fn execute(&self, clock: &mut SimClock<F>, profile: &ApplicationProfile, plan: &PeriodPlan) {
+        // Inlining the interpreter into every emit site folds its match on
+        // the site's constant step kind, so the executors run straight-line
+        // retry loops (without it the fig9 composite executor ran ~45 %
+        // slower on a 2-vCPU Xeon).
+        emit_steps(
+            self.protocol(),
+            profile,
+            plan,
+            #[inline(always)]
+            |step| step.run(clock, plan),
+        );
+    }
 }
 
-/// Phase-oblivious coordinated periodic checkpointing: the whole application
-/// — all epochs, GENERAL and LIBRARY phases alike — is one checkpointed
-/// stream with full checkpoints (epoch boundaries are invisible to the
-/// protocol).
+/// Every [`Protocol`] executes its own step program.
+impl<F: FailureSource> ProtocolExecutor<F> for Protocol {
+    fn protocol(&self) -> Protocol {
+        *self
+    }
+}
+
+/// Phase-oblivious coordinated periodic checkpointing
+/// ([`Protocol::PurePeriodicCkpt`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PureExecutor;
 
@@ -240,21 +379,9 @@ impl<F: FailureSource> ProtocolExecutor<F> for PureExecutor {
     fn protocol(&self) -> Protocol {
         Protocol::PurePeriodicCkpt
     }
-
-    fn execute(&self, clock: &mut SimClock<F>, profile: &ApplicationProfile, plan: &PeriodPlan) {
-        checkpointed_stream(
-            clock,
-            profile.total_duration(),
-            plan.ckpt_full,
-            plan.full_period,
-            plan,
-        );
-    }
 }
 
-/// Phase-aware periodic checkpointing: GENERAL phases carry full
-/// checkpoints, LIBRARY phases carry incremental (`ρC`) checkpoints;
-/// recovery still reloads everything.
+/// Phase-aware periodic checkpointing ([`Protocol::BiPeriodicCkpt`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BiExecutor;
 
@@ -262,83 +389,15 @@ impl<F: FailureSource> ProtocolExecutor<F> for BiExecutor {
     fn protocol(&self) -> Protocol {
         Protocol::BiPeriodicCkpt
     }
-
-    fn execute(&self, clock: &mut SimClock<F>, profile: &ApplicationProfile, plan: &PeriodPlan) {
-        for epoch in profile.epochs() {
-            checkpointed_stream(clock, epoch.general, plan.ckpt_full, plan.full_period, plan);
-            checkpointed_stream(
-                clock,
-                epoch.library,
-                plan.ckpt_library,
-                plan.library_period,
-                plan,
-            );
-        }
-    }
 }
 
-/// The composite protocol: periodic checkpointing in GENERAL phases (with
-/// the forced entry checkpoint of the REMAINDER dataset before each library
-/// call), ABFT inside LIBRARY phases (with the forced exit checkpoint of
-/// the LIBRARY dataset after each call).
+/// The composite protocol ([`Protocol::AbftPeriodicCkpt`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompositeExecutor;
-
-impl CompositeExecutor {
-    /// GENERAL phase of one epoch: periodic checkpointing when the phase is
-    /// long, otherwise only the forced entry checkpoint of the REMAINDER
-    /// dataset (a failure rolls back to the start of the phase).
-    fn run_general<F: FailureSource>(clock: &mut SimClock<F>, epoch: &Epoch, plan: &PeriodPlan) {
-        let work = epoch.general;
-        if work <= 0.0 {
-            // Even with no GENERAL work, entering the library requires the
-            // forced partial checkpoint of the REMAINDER dataset.
-            if epoch.library > 0.0 {
-                forced_checkpoint(clock, plan.ckpt_remainder, plan);
-            }
-            return;
-        }
-        if work < plan.full_period {
-            // Short phase: no periodic checkpoint, a failure rolls back to
-            // the start of the phase; the phase ends with the forced partial
-            // checkpoint of the REMAINDER dataset.
-            'attempt: loop {
-                let mut done = 0.0;
-                while done < work {
-                    match clock.try_run(work - done) {
-                        ActivityResult::Completed => done = work,
-                        ActivityResult::Interrupted { .. } => {
-                            clock.recover(plan.downtime, plan.recovery);
-                            done = 0.0;
-                        }
-                    }
-                }
-                match clock.try_run(plan.ckpt_remainder) {
-                    ActivityResult::Completed => break 'attempt,
-                    ActivityResult::Interrupted { .. } => {
-                        clock.recover(plan.downtime, plan.recovery);
-                    }
-                }
-            }
-        } else {
-            // Long phase: regular periodic checkpointing; the last checkpoint
-            // doubles as the forced entry checkpoint (the paper's "the last
-            // periodic checkpoint replaces that of size C_L̄").
-            checkpointed_stream(clock, work, plan.ckpt_full, plan.full_period, plan);
-        }
-    }
-}
 
 impl<F: FailureSource> ProtocolExecutor<F> for CompositeExecutor {
     fn protocol(&self) -> Protocol {
         Protocol::AbftPeriodicCkpt
-    }
-
-    fn execute(&self, clock: &mut SimClock<F>, profile: &ApplicationProfile, plan: &PeriodPlan) {
-        for epoch in profile.epochs() {
-            Self::run_general(clock, epoch, plan);
-            abft_protected_stream(clock, epoch.library, plan);
-        }
     }
 }
 
@@ -450,22 +509,7 @@ impl Engine {
         profile: &ApplicationProfile,
         seed: u64,
     ) -> SimOutcome {
-        let clock = SimClock::with_model(self.model, seed);
-        self.dispatch(protocol, profile, clock)
-    }
-
-    /// Runs the built-in executor of `protocol` on an arbitrary clock.
-    fn dispatch<F: FailureSource>(
-        &self,
-        protocol: Protocol,
-        profile: &ApplicationProfile,
-        clock: SimClock<F>,
-    ) -> SimOutcome {
-        match protocol {
-            Protocol::PurePeriodicCkpt => self.run_with(&PureExecutor, profile, clock),
-            Protocol::BiPeriodicCkpt => self.run_with(&BiExecutor, profile, clock),
-            Protocol::AbftPeriodicCkpt => self.run_with(&CompositeExecutor, profile, clock),
-        }
+        self.run_with(&protocol, profile, SimClock::with_model(self.model, seed))
     }
 
     /// A failure buffer matching this engine's parameter point and failure
@@ -488,7 +532,7 @@ impl Engine {
         profile: &ApplicationProfile,
         buffer: &mut TraceBuffer<M>,
     ) -> SimOutcome {
-        self.dispatch(protocol, profile, SimClock::with_source(buffer.cursor()))
+        self.run_with(&protocol, profile, SimClock::with_source(buffer.cursor()))
     }
 
     /// Single-epoch counterpart of [`Engine::simulate_profile_replay`]:
@@ -499,31 +543,7 @@ impl Engine {
         protocol: Protocol,
         buffer: &mut TraceBuffer<M>,
     ) -> SimOutcome {
-        match protocol {
-            Protocol::PurePeriodicCkpt => {
-                let mut clock = SimClock::with_source(buffer.cursor());
-                checkpointed_stream(
-                    &mut clock,
-                    self.params.epoch_duration,
-                    self.plan.ckpt_full,
-                    self.plan.full_period,
-                    &self.plan,
-                );
-                SimOutcome {
-                    final_time: clock.now(),
-                    base_time: self.params.epoch_duration,
-                    failures: clock.failures(),
-                }
-            }
-            _ => {
-                let profile = ApplicationProfile::from_params(&self.params);
-                let outcome = self.simulate_profile_replay(protocol, &profile, buffer);
-                SimOutcome {
-                    base_time: self.params.epoch_duration,
-                    ..outcome
-                }
-            }
-        }
+        self.single_epoch(protocol, SimClock::with_source(buffer.cursor()))
     }
 
     /// Simulates all three protocols over `profile` on **one** failure
@@ -543,32 +563,37 @@ impl Engine {
     /// Simulates the single-epoch application described by the engine's
     /// parameters (the pre-refactor `simulate()` behaviour).
     pub fn simulate(&self, protocol: Protocol, seed: u64) -> SimOutcome {
-        // The pure protocol treats the epoch as one opaque stream of
-        // `epoch_duration` seconds, exactly like the closed-form model.
-        match protocol {
-            Protocol::PurePeriodicCkpt => {
-                let mut clock = SimClock::with_model(self.model, seed);
-                checkpointed_stream(
-                    &mut clock,
-                    self.params.epoch_duration,
-                    self.plan.ckpt_full,
-                    self.plan.full_period,
-                    &self.plan,
-                );
-                SimOutcome {
-                    final_time: clock.now(),
-                    base_time: self.params.epoch_duration,
-                    failures: clock.failures(),
-                }
-            }
-            _ => {
-                let profile = ApplicationProfile::from_params(&self.params);
-                let outcome = self.simulate_profile(protocol, &profile, seed);
-                SimOutcome {
-                    base_time: self.params.epoch_duration,
-                    ..outcome
-                }
-            }
+        self.single_epoch(protocol, SimClock::with_model(self.model, seed))
+    }
+
+    /// The single-epoch application of [`Engine::simulate`] on any clock.
+    fn single_epoch<F: FailureSource>(
+        &self,
+        protocol: Protocol,
+        mut clock: SimClock<F>,
+    ) -> SimOutcome {
+        let base_time = self.params.epoch_duration;
+        if protocol == Protocol::PurePeriodicCkpt {
+            // The pure protocol treats the epoch as one opaque stream of
+            // `epoch_duration` seconds, exactly like the closed-form model.
+            let plan = &self.plan;
+            emit_stream(
+                base_time,
+                plan.ckpt_full,
+                plan.full_period,
+                #[inline(always)]
+                |step| step.run(&mut clock, plan),
+            );
+            return SimOutcome {
+                final_time: clock.now(),
+                base_time,
+                failures: clock.failures(),
+            };
+        }
+        let profile = ApplicationProfile::from_params(&self.params);
+        SimOutcome {
+            base_time,
+            ..self.run_with(&protocol, &profile, clock)
         }
     }
 }
@@ -609,6 +634,82 @@ mod tests {
         assert_eq!(plan.full_period, expected_full);
         assert!(plan.library_period < plan.full_period);
         assert!((plan.ckpt_library + plan.ckpt_remainder - plan.ckpt_full).abs() < 1e-9);
+    }
+
+    #[test]
+    fn emitted_programs_respect_each_protocol_phase_structure() {
+        let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
+        let plan = PeriodPlan::new(&params);
+        let emit = |protocol, general: f64, library: f64| {
+            let profile = ApplicationProfile::uniform(1, general, library).unwrap();
+            let mut steps = Vec::new();
+            emit_steps(protocol, &profile, &plan, |step| steps.push(step));
+            steps
+        };
+        let library = 100.0;
+        let abft = [
+            Step::AbftWork {
+                work: plan.phi * library,
+            },
+            Step::AbftCkpt {
+                cost: plan.ckpt_library,
+            },
+        ];
+        let composite = Protocol::AbftPeriodicCkpt;
+        // A short GENERAL phase is one attempt ending in the forced
+        // REMAINDER checkpoint; an empty one keeps only that checkpoint.
+        let short = plan.full_period / 2.0;
+        let entry = Step::Period {
+            work: short,
+            ckpt: plan.ckpt_remainder,
+        };
+        assert_eq!(emit(composite, short, library), [entry, abft[0], abft[1]]);
+        let forced = Step::Forced {
+            cost: plan.ckpt_remainder,
+        };
+        assert_eq!(emit(composite, 0.0, library), [forced, abft[0], abft[1]]);
+        // Without LIBRARY work there is nothing to enter or protect.
+        assert!(emit(composite, 0.0, 0.0).is_empty());
+        // A long GENERAL phase streams with periodic full checkpoints.
+        let long = (plan.full_period - plan.ckpt_full) * 2.5;
+        let steps = emit(composite, long, library);
+        let (periods, tail) = steps.split_at(steps.len() - 2);
+        assert_eq!(tail, abft);
+        assert!(periods.len() >= 3);
+        let mut streamed = 0.0;
+        for step in periods {
+            let Step::Period { work, ckpt } = *step else {
+                panic!("{step:?} in a checkpointed stream");
+            };
+            assert_eq!(ckpt, plan.ckpt_full);
+            streamed += work;
+        }
+        assert!((streamed - long).abs() < 1e-6);
+        // Pure streams the whole profile with full checkpoints; Bi closes
+        // the GENERAL stream with a full and the LIBRARY one with an
+        // incremental checkpoint.
+        let pure = emit(Protocol::PurePeriodicCkpt, short, library);
+        assert_eq!(
+            pure,
+            [Step::Period {
+                work: short + library,
+                ckpt: plan.ckpt_full
+            }]
+        );
+        let bi = emit(Protocol::BiPeriodicCkpt, short, library);
+        assert_eq!(
+            bi,
+            [
+                Step::Period {
+                    work: short,
+                    ckpt: plan.ckpt_full
+                },
+                Step::Period {
+                    work: library,
+                    ckpt: plan.ckpt_library
+                }
+            ]
+        );
     }
 
     #[test]

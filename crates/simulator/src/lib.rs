@@ -7,12 +7,13 @@
 //! during recoveries, during downtime, several failures per period, …).
 //!
 //! * [`clock`] — the simulation clock: pluggable failure arrivals (from
-//!   `ft-platform`'s allocation-free failure streams), the `try_run`
-//!   primitive (run an activity until it completes or a failure interrupts
-//!   it) and the interruptible recovery helper;
-//! * [`engine`] — the shared event loop, the per-point precomputed
-//!   [`PeriodPlan`] and the pluggable [`ProtocolExecutor`]s for the three
-//!   protocols over multi-epoch application profiles;
+//!   `ft-platform`'s allocation-free failure streams, or one lane of a batch
+//!   source), the `try_run` primitive (run an activity until it completes or
+//!   a failure interrupts it) and the rollback-recovery helper;
+//! * [`engine`] — the protocol step IR ([`Step`]), its one compiler
+//!   (`emit_steps`) and its one interpreter (`Step::run`), the
+//!   per-point precomputed [`PeriodPlan`] and the [`ProtocolExecutor`]s for
+//!   the three protocols over multi-epoch application profiles;
 //! * [`protocols`] — protocol identities ([`Protocol`]) and simulation
 //!   outcomes ([`SimOutcome`]);
 //! * [`stats`] — Welford accumulation, confidence intervals, the single
@@ -24,13 +25,15 @@
 //!   protocols over shared failure traces ([`accumulate_paired`]);
 //! * [`batch`](mod@batch) — the structure-of-arrays batch engine: many
 //!   replications of one parameter point advanced in lockstep through a
-//!   compiled step program, bit-exact with the scalar executors (proven by
-//!   the differential oracle harness in `tests/batch_engine_oracle.rs`);
+//!   compiled step program, with interrupted lanes rerun by the shared
+//!   interpreter — bit-exact with the scalar executors (proven by the
+//!   differential oracle harness in `tests/batch_engine_oracle.rs`);
 //! * [`validate`] — model-versus-simulation comparison grids (the right-hand
 //!   column of Figure 7);
 //! * [`resume`](mod@resume) — crash-resume: kill a run at any snapshot
-//!   boundary, persist a [`SimSnapshot`] through `ft-ckpt`'s checksummed
-//!   frame pipeline, and resume bit-identically (proven by the differential
+//!   boundary of its step program, persist a [`SimSnapshot`] (program
+//!   position + clock state) through `ft-ckpt`'s checksummed frame
+//!   pipeline, and resume bit-identically (proven by the differential
 //!   harness in `tests/crash_resume.rs`).
 
 #![forbid(unsafe_code)]
@@ -54,12 +57,10 @@ pub use batch::{
 };
 pub use clock::{ActivityResult, SimClock};
 pub use engine::{
-    BiExecutor, CompositeExecutor, Engine, PeriodPlan, ProtocolExecutor, PureExecutor,
+    BiExecutor, CompositeExecutor, Engine, PeriodPlan, ProtocolExecutor, PureExecutor, Step,
 };
 pub use protocols::{simulate, Protocol, SimOutcome};
-pub use resume::{
-    compile_steps, ResumableSim, ResumeStep, RunStatus, SimSnapshot, WithinStep,
-};
+pub use resume::{ResumableSim, ResumeError, RunStatus, SimSnapshot, WithinStep};
 pub use replicate::{
     accumulate, accumulate_budget, accumulate_engine_budget, accumulate_paired,
     accumulate_paired_engine, accumulate_profile, accumulate_profile_budget,

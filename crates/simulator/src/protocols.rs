@@ -1,8 +1,8 @@
 //! Protocol identities and simulation outcomes.
 //!
-//! The actual epoch unfolding lives in the [`crate::engine`] module: a
-//! shared event loop driving one pluggable [`ProtocolExecutor`] per
-//! protocol.  This module keeps the stable surface the rest of the
+//! The actual epoch unfolding lives in the [`crate::engine`] module: one
+//! step program per protocol, run by the interpreter every pluggable
+//! [`ProtocolExecutor`] shares.  This module keeps the stable surface the rest of the
 //! workspace consumes — the [`Protocol`] enum, the [`SimOutcome`] record and
 //! the one-shot [`simulate`] convenience wrapper.
 //!

@@ -2,27 +2,29 @@
 //! snapshot through the durable checkpoint pipeline, reload, and continue
 //! **bit-identically**.
 //!
-//! [`ResumableSim`] compiles a protocol × profile pair into the linear
-//! sequence of [`ResumeStep`]s the engine executors would perform, then
-//! drives the exact same event loops (`checkpointed_stream`,
-//! `forced_checkpoint`, `abft_protected_stream` — mirrored statement for
-//! statement) while tracking *snapshot boundaries*: the points where a
-//! consistent [`SimSnapshot`] can be taken — after every committed
-//! checkpoint period, after every ABFT recovery, and at every step
-//! transition.
+//! [`ResumableSim`] compiles a protocol × profile pair into its step
+//! program ([`BatchProgram::compile`], the same [`Step`]s every simulation
+//! path runs) and interprets it with the shared retry loops of
+//! `Step::run`, tracking *snapshot boundaries*: the points where a
+//! consistent [`SimSnapshot`] can be taken — at every step transition
+//! (a checkpoint period's commit is one) and after every ABFT recovery
+//! inside an [`Step::AbftWork`] step, where no work is lost.
 //!
-//! A snapshot records the step position, the within-step progress (as raw
-//! `f64` bits), and the clock's `(now, next_failure, failures)` state.
-//! Because the trace-backed clock's draw count is a pure function of the
-//! interrupt count (`failures + 1` draws consumed), resuming positions the
-//! cursor with [`TraceBuffer::cursor_at`] and continues the run through the
-//! identical arithmetic on identical inputs — so the resumed outcome equals
-//! the uninterrupted one bit for bit (`tests/crash_resume.rs` proves this
-//! differentially across protocols, failure laws and every kill point).
+//! A snapshot is an IR position plus the environment: the step index, the
+//! within-step progress (as raw `f64` bits), and the clock's `(now,
+//! next_failure, failures)` state.  Because the trace-backed clock's draw
+//! count is a pure function of the interrupt count (`failures + 1` draws
+//! consumed), resuming positions the cursor with [`TraceBuffer::cursor_at`]
+//! and continues the run through the identical arithmetic on identical
+//! inputs — so the resumed outcome equals the uninterrupted one bit for bit
+//! (`tests/crash_resume.rs` proves this differentially across protocols,
+//! failure laws and every kill point).
 //!
 //! Snapshots persist through `ft-ckpt`'s checksummed frame pipeline
 //! ([`SimSnapshot::persist`] / [`SimSnapshot::load`]), so a resumed run
-//! only ever starts from a *verified* snapshot.
+//! only ever starts from a *verified* snapshot, and [`ResumableSim::resume`]
+//! rejects a snapshot that does not fit its program with a typed
+//! [`ResumeError`].
 
 use ft_ckpt::backend::CheckpointBackend;
 use ft_ckpt::pipeline::{CheckpointPipeline, RestoreOutcome};
@@ -32,52 +34,18 @@ use ft_platform::checksum::ChecksumGen;
 use ft_platform::failure::{FailureModel, FailureSource};
 use ft_platform::trace::TraceBuffer;
 
-use crate::clock::{ActivityResult, SimClock};
-use crate::engine::{Engine, PeriodPlan};
+use crate::batch::BatchProgram;
+use crate::clock::SimClock;
+use crate::engine::{Engine, Step};
 use crate::protocols::{Protocol, SimOutcome};
-
-/// One linear unit of a compiled protocol run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ResumeStep {
-    /// A periodically-checkpointed work stream (`checkpointed_stream`).
-    Stream {
-        /// Useful work of the stream, seconds.
-        work: f64,
-        /// Checkpoint cost charged at each period.
-        ckpt: f64,
-        /// Checkpoint period (`+∞` disables periodic checkpointing).
-        period: f64,
-    },
-    /// A forced checkpoint retried until it completes.
-    Forced {
-        /// Cost of the forced checkpoint.
-        cost: f64,
-    },
-    /// A short GENERAL phase of the composite protocol: no periodic
-    /// checkpoints, rollback to the phase start, forced REMAINDER
-    /// checkpoint at the end.
-    ShortGeneral {
-        /// Useful work of the phase, seconds.
-        work: f64,
-    },
-    /// An ABFT-protected LIBRARY phase including its forced exit checkpoint.
-    Abft {
-        /// LIBRARY work (uninflated), seconds.
-        library: f64,
-    },
-}
 
 /// Where within a step a snapshot was taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WithinStep {
     /// At the start of the step (the previous step just completed).
     StartOfStep,
-    /// Inside a [`ResumeStep::Stream`]: `saved` seconds of work are durably
-    /// checkpointed (raw `f64` bits).
-    StreamSaved(u64),
-    /// Inside a [`ResumeStep::Abft`]: `done` seconds of φ-inflated work are
-    /// performed (raw bits); `done == φ·library` means the phase work is
-    /// complete and the forced exit checkpoint is in progress.
+    /// Inside a [`Step::AbftWork`] step, just after an ABFT recovery:
+    /// `done` seconds of its φ-inflated work are performed (raw bits).
     AbftDone(u64),
 }
 
@@ -99,7 +67,12 @@ pub struct SimSnapshot {
     pub failures: u64,
 }
 
-const SNAPSHOT_BYTES: usize = 1 + 8 + 1 + 8 + 8 + 8 + 8;
+/// Leading byte of a snapshot record.  Version 2 counts `step` in program
+/// steps; the unversioned records before it counted checkpointed streams,
+/// so they must not resume.
+const SNAPSHOT_FORMAT: u8 = 2;
+
+const SNAPSHOT_BYTES: usize = 1 + 1 + 8 + 1 + 8 + 8 + 8 + 8;
 
 fn protocol_tag(p: Protocol) -> u8 {
     match p {
@@ -113,12 +86,12 @@ impl SimSnapshot {
     /// Serializes the snapshot into a fixed-size little-endian record.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(SNAPSHOT_BYTES);
+        out.push(SNAPSHOT_FORMAT);
         out.push(protocol_tag(self.protocol));
         out.extend_from_slice(&(self.step as u64).to_le_bytes());
         let (tag, payload) = match self.within {
             WithinStep::StartOfStep => (0u8, 0u64),
-            WithinStep::StreamSaved(bits) => (1, bits),
-            WithinStep::AbftDone(bits) => (2, bits),
+            WithinStep::AbftDone(bits) => (1, bits),
         };
         out.push(tag);
         out.extend_from_slice(&payload.to_le_bytes());
@@ -128,32 +101,32 @@ impl SimSnapshot {
         out
     }
 
-    /// Deserializes a snapshot; `None` on any malformed input.
+    /// Deserializes a snapshot; `None` on any malformed input, including a
+    /// record of another format version.
     pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() != SNAPSHOT_BYTES {
+        if bytes.len() != SNAPSHOT_BYTES || bytes[0] != SNAPSHOT_FORMAT {
             return None;
         }
-        let protocol = match bytes[0] {
+        let protocol = match bytes[1] {
             0 => Protocol::PurePeriodicCkpt,
             1 => Protocol::BiPeriodicCkpt,
             2 => Protocol::AbftPeriodicCkpt,
             _ => return None,
         };
         let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        let payload = u64_at(10);
-        let within = match bytes[9] {
+        let payload = u64_at(11);
+        let within = match bytes[10] {
             0 if payload == 0 => WithinStep::StartOfStep,
-            1 => WithinStep::StreamSaved(payload),
-            2 => WithinStep::AbftDone(payload),
+            1 => WithinStep::AbftDone(payload),
             _ => return None,
         };
         Some(Self {
             protocol,
-            step: u64_at(1) as usize,
+            step: u64_at(2) as usize,
             within,
-            now_bits: u64_at(18),
-            next_failure_bits: u64_at(26),
-            failures: u64_at(34),
+            now_bits: u64_at(19),
+            next_failure_bits: u64_at(27),
+            failures: u64_at(35),
         })
     }
 
@@ -197,64 +170,50 @@ pub enum RunStatus {
     Killed(SimSnapshot),
 }
 
-/// Compiles `protocol` × `profile` into the linear step sequence the engine
-/// executors perform, using the same phase-structure decisions (short-phase
-/// threshold, zero-work guards) as `crate::engine`.
-pub fn compile_steps(
-    protocol: Protocol,
-    profile: &ApplicationProfile,
-    plan: &PeriodPlan,
-) -> Vec<ResumeStep> {
-    let mut steps = Vec::new();
-    match protocol {
-        Protocol::PurePeriodicCkpt => {
-            steps.push(ResumeStep::Stream {
-                work: profile.total_duration(),
-                ckpt: plan.ckpt_full,
-                period: plan.full_period,
-            });
-        }
-        Protocol::BiPeriodicCkpt => {
-            for epoch in profile.epochs() {
-                steps.push(ResumeStep::Stream {
-                    work: epoch.general,
-                    ckpt: plan.ckpt_full,
-                    period: plan.full_period,
-                });
-                steps.push(ResumeStep::Stream {
-                    work: epoch.library,
-                    ckpt: plan.ckpt_library,
-                    period: plan.library_period,
-                });
+/// Why [`ResumableSim::resume`] refused a snapshot.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ResumeError {
+    /// The snapshot was taken from a run of another protocol.
+    ProtocolMismatch {
+        /// Protocol recorded in the snapshot.
+        snapshot: Protocol,
+        /// Protocol of the run asked to resume it.
+        run: Protocol,
+    },
+    /// The snapshot's step index lies past the end of the program.
+    StepOutOfRange {
+        /// Step index recorded in the snapshot.
+        step: usize,
+        /// Number of steps of the program.
+        steps: usize,
+    },
+    /// The snapshot's within-step progress does not fit the step at its
+    /// index (ABFT progress is only recorded inside [`Step::AbftWork`]).
+    WithinMismatch {
+        /// Step index recorded in the snapshot.
+        step: usize,
+        /// Within-step progress recorded in the snapshot.
+        within: WithinStep,
+    },
+}
+
+impl std::fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ResumeError::ProtocolMismatch { snapshot, run } => {
+                write!(f, "snapshot of {snapshot:?} cannot resume a {run:?} run")
             }
-        }
-        Protocol::AbftPeriodicCkpt => {
-            for epoch in profile.epochs() {
-                if epoch.general <= 0.0 {
-                    if epoch.library > 0.0 {
-                        steps.push(ResumeStep::Forced {
-                            cost: plan.ckpt_remainder,
-                        });
-                    }
-                } else if epoch.general < plan.full_period {
-                    steps.push(ResumeStep::ShortGeneral {
-                        work: epoch.general,
-                    });
-                } else {
-                    steps.push(ResumeStep::Stream {
-                        work: epoch.general,
-                        ckpt: plan.ckpt_full,
-                        period: plan.full_period,
-                    });
-                }
-                steps.push(ResumeStep::Abft {
-                    library: epoch.library,
-                });
+            ResumeError::StepOutOfRange { step, steps } => {
+                write!(f, "snapshot step {step} lies past the {steps}-step program")
+            }
+            ResumeError::WithinMismatch { step, within } => {
+                write!(f, "snapshot progress {within:?} does not fit step {step}")
             }
         }
     }
-    steps
 }
+
+impl std::error::Error for ResumeError {}
 
 /// A protocol run that can be killed at any snapshot boundary and resumed
 /// bit-identically from the resulting [`SimSnapshot`].
@@ -262,153 +221,7 @@ pub fn compile_steps(
 pub struct ResumableSim<'e> {
     engine: &'e Engine,
     protocol: Protocol,
-    steps: Vec<ResumeStep>,
-    base_time: f64,
-}
-
-struct Driver<'p, F: FailureSource> {
-    clock: SimClock<F>,
-    plan: &'p PeriodPlan,
-    boundaries: usize,
-    kill_after: Option<usize>,
-}
-
-impl<F: FailureSource> Driver<'_, F> {
-    /// Marks a snapshot boundary; returns the within-step state to snapshot
-    /// when this is the boundary the run should be killed at.
-    fn boundary(&mut self, within: WithinStep) -> Option<WithinStep> {
-        self.boundaries += 1;
-        if self.kill_after == Some(self.boundaries) {
-            Some(within)
-        } else {
-            None
-        }
-    }
-
-    /// Mirror of `engine::checkpointed_stream`, resumable at period commits.
-    fn stream(
-        &mut self,
-        work: f64,
-        ckpt: f64,
-        period: f64,
-        start_saved: f64,
-    ) -> Option<WithinStep> {
-        if work <= 0.0 {
-            return None;
-        }
-        let work_per_period = if period.is_finite() && period > ckpt {
-            period - ckpt
-        } else {
-            work
-        };
-        let mut saved = start_saved;
-        while saved < work {
-            let target = work_per_period.min(work - saved);
-            'attempt: loop {
-                let mut done = 0.0;
-                while done < target {
-                    match self.clock.try_run(target - done) {
-                        ActivityResult::Completed => done = target,
-                        ActivityResult::Interrupted { .. } => {
-                            self.clock.recover(self.plan.downtime, self.plan.recovery);
-                            done = 0.0;
-                        }
-                    }
-                }
-                match self.clock.try_run(ckpt) {
-                    ActivityResult::Completed => break 'attempt,
-                    ActivityResult::Interrupted { .. } => {
-                        self.clock.recover(self.plan.downtime, self.plan.recovery);
-                    }
-                }
-            }
-            saved += target;
-            if saved < work {
-                if let Some(within) = self.boundary(WithinStep::StreamSaved(saved.to_bits())) {
-                    return Some(within);
-                }
-            }
-        }
-        None
-    }
-
-    /// Mirror of `engine::forced_checkpoint` (no interior boundaries).
-    fn forced(&mut self, cost: f64) {
-        loop {
-            match self.clock.try_run(cost) {
-                ActivityResult::Completed => return,
-                ActivityResult::Interrupted { .. } => {
-                    self.clock.recover(self.plan.downtime, self.plan.recovery);
-                }
-            }
-        }
-    }
-
-    /// Mirror of the short-GENERAL-phase loop of
-    /// `engine::CompositeExecutor::run_general` (no interior boundaries).
-    fn short_general(&mut self, work: f64) {
-        'attempt: loop {
-            let mut done = 0.0;
-            while done < work {
-                match self.clock.try_run(work - done) {
-                    ActivityResult::Completed => done = work,
-                    ActivityResult::Interrupted { .. } => {
-                        self.clock.recover(self.plan.downtime, self.plan.recovery);
-                        done = 0.0;
-                    }
-                }
-            }
-            match self.clock.try_run(self.plan.ckpt_remainder) {
-                ActivityResult::Completed => break 'attempt,
-                ActivityResult::Interrupted { .. } => {
-                    self.clock.recover(self.plan.downtime, self.plan.recovery);
-                }
-            }
-        }
-    }
-
-    /// Mirror of `engine::abft_recover`.
-    fn abft_recover(&mut self) {
-        loop {
-            if self.clock.try_run(self.plan.downtime).is_completed()
-                && self.clock.try_run(self.plan.recovery_remainder).is_completed()
-                && self.clock.try_run(self.plan.abft_reconstruction).is_completed()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Mirror of `engine::abft_protected_stream`, resumable after every
-    /// ABFT recovery (work is never lost, so any recovered point is
-    /// consistent).  `start_done = φ·library` resumes inside the forced
-    /// exit-checkpoint loop.
-    fn abft(&mut self, library: f64, start_done: Option<f64>) -> Option<WithinStep> {
-        if library <= 0.0 {
-            return None;
-        }
-        let abft_work = self.plan.phi * library;
-        let mut done = start_done.unwrap_or(0.0);
-        while done < abft_work {
-            match self.clock.try_run(abft_work - done) {
-                ActivityResult::Completed => done = abft_work,
-                ActivityResult::Interrupted { progress } => {
-                    done += progress;
-                    self.abft_recover();
-                    if let Some(within) = self.boundary(WithinStep::AbftDone(done.to_bits())) {
-                        return Some(within);
-                    }
-                }
-            }
-        }
-        while !self.clock.try_run(self.plan.ckpt_library).is_completed() {
-            self.abft_recover();
-            if let Some(within) = self.boundary(WithinStep::AbftDone(abft_work.to_bits())) {
-                return Some(within);
-            }
-        }
-        None
-    }
+    program: BatchProgram,
 }
 
 impl<'e> ResumableSim<'e> {
@@ -418,113 +231,54 @@ impl<'e> ResumableSim<'e> {
         Self {
             engine,
             protocol,
-            steps: compile_steps(protocol, profile, engine.plan()),
-            base_time: profile.total_duration(),
+            program: BatchProgram::compile(protocol, profile, engine.plan()),
         }
     }
 
     /// The compiled step sequence.
-    pub fn steps(&self) -> &[ResumeStep] {
-        &self.steps
+    pub fn steps(&self) -> &[Step] {
+        self.program.steps()
     }
 
+    /// Interprets the program from step `start`, `done` seconds into it,
+    /// calling `boundary` at every snapshot boundary.  Stops at the first
+    /// boundary for which `boundary` returns `true` and returns the
+    /// snapshot position there; `None` when the run finished.
     fn drive<F: FailureSource>(
         &self,
-        clock: SimClock<F>,
-        start_step: usize,
-        start_within: WithinStep,
-        kill_after: Option<usize>,
-    ) -> (RunStatus, usize) {
-        let mut driver = Driver {
-            clock,
-            plan: self.engine.plan(),
-            boundaries: 0,
-            kill_after,
-        };
-        let mut within = start_within;
-        let mut step_index = start_step;
-        while step_index < self.steps.len() {
-            let killed = match (self.steps[step_index], within) {
-                (ResumeStep::Stream { work, ckpt, period }, w) => {
-                    let start_saved = match w {
-                        WithinStep::StreamSaved(bits) => f64::from_bits(bits),
-                        _ => 0.0,
-                    };
-                    driver.stream(work, ckpt, period, start_saved)
-                }
-                (ResumeStep::Forced { cost }, _) => {
-                    driver.forced(cost);
-                    None
-                }
-                (ResumeStep::ShortGeneral { work }, _) => {
-                    driver.short_general(work);
-                    None
-                }
-                (ResumeStep::Abft { library }, w) => {
-                    let start_done = match w {
-                        WithinStep::AbftDone(bits) => Some(f64::from_bits(bits)),
-                        _ => None,
-                    };
-                    driver.abft(library, start_done)
-                }
-            };
-            if let Some(kill_within) = killed {
-                return (
-                    RunStatus::Killed(self.snapshot(&driver.clock, step_index, kill_within)),
-                    driver.boundaries,
-                );
+        clock: &mut SimClock<F>,
+        start: usize,
+        mut done: f64,
+        mut boundary: impl FnMut() -> bool,
+    ) -> Option<(usize, WithinStep)> {
+        let plan = self.engine.plan();
+        for (index, step) in self.steps().iter().enumerate().skip(start) {
+            if let Some(done) = step.run_from(clock, plan, done, &mut boundary) {
+                return Some((index, WithinStep::AbftDone(done.to_bits())));
             }
-            within = WithinStep::StartOfStep;
-            step_index += 1;
+            done = 0.0;
             // Step-transition boundary (including run completion, where a
             // snapshot resumes into an immediately-finished run).
-            if let Some(kill_within) = driver.boundary(WithinStep::StartOfStep) {
-                return (
-                    RunStatus::Killed(self.snapshot(&driver.clock, step_index, kill_within)),
-                    driver.boundaries,
-                );
+            if boundary() {
+                return Some((index + 1, WithinStep::StartOfStep));
             }
         }
-        (
-            RunStatus::Finished(SimOutcome {
-                final_time: driver.clock.now(),
-                base_time: self.base_time,
-                failures: driver.clock.failures(),
-            }),
-            driver.boundaries,
-        )
+        None
     }
 
-    fn snapshot<F: FailureSource>(
-        &self,
-        clock: &SimClock<F>,
-        step: usize,
-        within: WithinStep,
-    ) -> SimSnapshot {
-        SimSnapshot {
-            protocol: self.protocol,
-            step,
-            within,
-            now_bits: clock.now().to_bits(),
-            next_failure_bits: clock.next_failure_time().to_bits(),
-            failures: clock.failures() as u64,
+    fn outcome<F: FailureSource>(&self, clock: &SimClock<F>) -> SimOutcome {
+        SimOutcome {
+            final_time: clock.now(),
+            base_time: self.program.base_time(),
+            failures: clock.failures(),
         }
     }
 
     /// Runs to completion, replaying `buffer`'s failure sequence.
     pub fn run<M: FailureModel>(&self, buffer: &mut TraceBuffer<M>) -> SimOutcome {
-        match self
-            .drive(
-                SimClock::with_source(buffer.cursor()),
-                0,
-                WithinStep::StartOfStep,
-                None,
-            )
-            .0
-        {
-            RunStatus::Finished(outcome) => outcome,
-            RunStatus::Killed(_) => unreachable!("no kill point requested"),
-        }
+        let mut clock = SimClock::with_source(buffer.cursor());
+        self.drive(&mut clock, 0, 0.0, || false);
+        self.outcome(&clock)
     }
 
     /// Runs until the `kill_after`-th snapshot boundary (1-based); returns
@@ -535,55 +289,77 @@ impl<'e> ResumableSim<'e> {
         buffer: &mut TraceBuffer<M>,
         kill_after: usize,
     ) -> RunStatus {
-        self.drive(
-            SimClock::with_source(buffer.cursor()),
-            0,
-            WithinStep::StartOfStep,
-            Some(kill_after.max(1)),
-        )
-        .0
+        let mut clock = SimClock::with_source(buffer.cursor());
+        let mut boundaries = 0usize;
+        let kill_after = kill_after.max(1);
+        match self.drive(&mut clock, 0, 0.0, || {
+            boundaries += 1;
+            boundaries == kill_after
+        }) {
+            Some((step, within)) => RunStatus::Killed(SimSnapshot {
+                protocol: self.protocol,
+                step,
+                within,
+                now_bits: clock.now().to_bits(),
+                next_failure_bits: clock.next_failure_time().to_bits(),
+                failures: clock.failures() as u64,
+            }),
+            None => RunStatus::Finished(self.outcome(&clock)),
+        }
     }
 
     /// Total number of snapshot boundaries of the full run on this failure
     /// sequence (kill points `1..=count` are all valid).
     pub fn count_boundaries<M: FailureModel>(&self, buffer: &mut TraceBuffer<M>) -> usize {
-        self.drive(
-            SimClock::with_source(buffer.cursor()),
-            0,
-            WithinStep::StartOfStep,
-            None,
-        )
-        .1
+        let mut boundaries = 0usize;
+        self.drive(&mut SimClock::with_source(buffer.cursor()), 0, 0.0, || {
+            boundaries += 1;
+            false
+        });
+        boundaries
     }
 
     /// Resumes a killed run from its snapshot, repositioning the failure
     /// cursor at `failures + 1` draws (see [`SimClock::resume`]), and runs
     /// to completion.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// If the snapshot's protocol does not match this run's.
+    /// A [`ResumeError`] when the snapshot belongs to another protocol, or
+    /// its position does not exist in this run's program.
     pub fn resume<M: FailureModel>(
         &self,
         buffer: &mut TraceBuffer<M>,
         snapshot: &SimSnapshot,
-    ) -> SimOutcome {
-        assert_eq!(
-            snapshot.protocol, self.protocol,
-            "snapshot of {:?} resumed under {:?}",
-            snapshot.protocol, self.protocol
-        );
+    ) -> Result<SimOutcome, ResumeError> {
+        if snapshot.protocol != self.protocol {
+            return Err(ResumeError::ProtocolMismatch {
+                snapshot: snapshot.protocol,
+                run: self.protocol,
+            });
+        }
+        let (step, steps) = (snapshot.step, self.steps().len());
+        if step > steps {
+            return Err(ResumeError::StepOutOfRange { step, steps });
+        }
+        let done = match snapshot.within {
+            WithinStep::StartOfStep => 0.0,
+            WithinStep::AbftDone(bits) if matches!(self.steps().get(step), Some(Step::AbftWork { .. })) => {
+                f64::from_bits(bits)
+            }
+            within @ WithinStep::AbftDone(_) => {
+                return Err(ResumeError::WithinMismatch { step, within })
+            }
+        };
         let failures = snapshot.failures as usize;
-        let clock = SimClock::resume(
+        let mut clock = SimClock::resume(
             buffer.cursor_at(failures + 1),
             f64::from_bits(snapshot.now_bits),
             f64::from_bits(snapshot.next_failure_bits),
             failures,
         );
-        match self.drive(clock, snapshot.step, snapshot.within, None).0 {
-            RunStatus::Finished(outcome) => outcome,
-            RunStatus::Killed(_) => unreachable!("no kill point requested"),
-        }
+        self.drive(&mut clock, step, done, || false);
+        Ok(self.outcome(&clock))
     }
 }
 
@@ -636,7 +412,7 @@ mod tests {
                     panic!("{protocol:?}: kill point {kill}/{total} did not kill");
                 };
                 buffer.reset(5);
-                let resumed = sim.resume(&mut buffer, &snapshot);
+                let resumed = sim.resume(&mut buffer, &snapshot).unwrap();
                 assert_eq!(
                     resumed.final_time.to_bits(),
                     reference.final_time.to_bits(),
@@ -662,12 +438,11 @@ mod tests {
         assert_eq!(bytes.len(), SNAPSHOT_BYTES);
         assert_eq!(SimSnapshot::from_bytes(&bytes).unwrap(), snapshot);
         assert!(SimSnapshot::from_bytes(&bytes[1..]).is_none());
-        let mut bad = bytes.clone();
-        bad[0] = 9;
-        assert!(SimSnapshot::from_bytes(&bad).is_none());
-        let mut bad_tag = bytes;
-        bad_tag[9] = 7;
-        assert!(SimSnapshot::from_bytes(&bad_tag).is_none());
+        for (at, value) in [(0, SNAPSHOT_FORMAT + 1), (1, 9), (10, 7)] {
+            let mut bad = bytes.clone();
+            bad[at] = value;
+            assert!(SimSnapshot::from_bytes(&bad).is_none(), "byte {at} = {value}");
+        }
     }
 
     #[test]
@@ -677,7 +452,7 @@ mod tests {
         let snapshot = SimSnapshot {
             protocol: Protocol::PurePeriodicCkpt,
             step: 1,
-            within: WithinStep::StreamSaved(500.0f64.to_bits()),
+            within: WithinStep::StartOfStep,
             now_bits: 1000.0f64.to_bits(),
             next_failure_bits: 1100.0f64.to_bits(),
             failures: 2,
@@ -688,28 +463,5 @@ mod tests {
         assert_eq!(loaded, snapshot);
         assert_eq!(outcome.generation, generation);
         assert_eq!(outcome.fallback_depth, 0);
-    }
-
-    #[test]
-    fn compile_steps_respects_the_composite_phase_structure() {
-        let engine = engine();
-        let plan = engine.plan();
-        // A short general phase compiles to ShortGeneral; a zero general
-        // phase with library work compiles to a Forced entry checkpoint.
-        let short = ApplicationProfile::uniform(1, plan.full_period / 2.0, 100.0).unwrap();
-        let steps = compile_steps(Protocol::AbftPeriodicCkpt, &short, plan);
-        assert!(matches!(steps[0], ResumeStep::ShortGeneral { .. }));
-        assert!(matches!(steps[1], ResumeStep::Abft { .. }));
-        let none = ApplicationProfile::uniform(1, 0.0, 100.0).unwrap();
-        let steps = compile_steps(Protocol::AbftPeriodicCkpt, &none, plan);
-        assert!(matches!(steps[0], ResumeStep::Forced { .. }));
-        // A long general phase streams with periodic checkpoints.
-        let long = ApplicationProfile::uniform(1, plan.full_period * 3.0, 100.0).unwrap();
-        let steps = compile_steps(Protocol::AbftPeriodicCkpt, &long, plan);
-        assert!(matches!(steps[0], ResumeStep::Stream { .. }));
-        // Pure compiles to exactly one stream.
-        assert_eq!(compile_steps(Protocol::PurePeriodicCkpt, &long, plan).len(), 1);
-        // Bi compiles to two streams per epoch.
-        assert_eq!(compile_steps(Protocol::BiPeriodicCkpt, &long, plan).len(), 2);
     }
 }

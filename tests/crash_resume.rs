@@ -17,7 +17,11 @@ use abft_ckpt_composite::sim::engine::Engine;
 use abft_ckpt_composite::sim::protocols::Protocol;
 use abft_ckpt_composite::platform::scenario::ScenarioSpec;
 use abft_ckpt_composite::platform::units::hours;
-use abft_ckpt_composite::sim::resume::{ResumableSim, RunStatus, SimSnapshot};
+use abft_ckpt_composite::ckpt::verify::RestoreFault;
+use abft_ckpt_composite::sim::engine::Step;
+use abft_ckpt_composite::sim::resume::{
+    ResumableSim, ResumeError, RunStatus, SimSnapshot, WithinStep,
+};
 use abft_ckpt_composite::composite::scenario::ApplicationProfile;
 
 fn params() -> ModelParams {
@@ -50,7 +54,9 @@ fn resume_is_bit_identical_at_every_injection_point() {
                     panic!("{spec:?}/{protocol:?}: kill {kill}/{total} did not kill");
                 };
                 buffer.reset(41);
-                let resumed = sim.resume(&mut buffer, &snapshot);
+                let resumed = sim
+                    .resume(&mut buffer, &snapshot)
+                    .expect("a snapshot of this run resumes it");
                 assert_eq!(
                     resumed.final_time.to_bits(),
                     reference.final_time.to_bits(),
@@ -101,7 +107,9 @@ fn scenario_clocks_resume_bit_identical_at_every_injection_point() {
                     panic!("{name}/{protocol:?}: kill {kill}/{total} did not kill");
                 };
                 buffer.reset(41);
-                let resumed = sim.resume(&mut buffer, &snapshot);
+                let resumed = sim
+                    .resume(&mut buffer, &snapshot)
+                    .expect("a snapshot of this run resumes it");
                 assert_eq!(
                     resumed.final_time.to_bits(),
                     reference.final_time.to_bits(),
@@ -152,7 +160,9 @@ fn trace_clock_resumes_through_the_frame_pipeline() {
         assert_eq!(outcome.fallback_depth, 0);
 
         buffer.reset(7);
-        let resumed = sim.resume(&mut buffer, &loaded);
+        let resumed = sim
+        .resume(&mut buffer, &loaded)
+        .expect("a snapshot of this run resumes it");
         assert_eq!(resumed.final_time.to_bits(), reference.final_time.to_bits());
         assert_eq!(resumed.failures, reference.failures);
     }
@@ -185,7 +195,9 @@ fn resume_through_the_frame_pipeline_is_bit_identical() {
         assert_eq!(outcome.fallback_depth, 0);
 
         buffer.reset(7);
-        let resumed = sim.resume(&mut buffer, &loaded);
+        let resumed = sim
+        .resume(&mut buffer, &loaded)
+        .expect("a snapshot of this run resumes it");
         assert_eq!(resumed.final_time.to_bits(), reference.final_time.to_bits());
         assert_eq!(resumed.failures, reference.failures);
     }
@@ -235,7 +247,137 @@ fn corrupted_snapshot_falls_back_to_an_older_intact_generation() {
     assert_eq!(outcome.rejected.len(), 1);
 
     buffer.reset(3);
-    let resumed = sim.resume(&mut buffer, &loaded);
+    let resumed = sim
+        .resume(&mut buffer, &loaded)
+        .expect("a snapshot of this run resumes it");
     assert_eq!(resumed.final_time.to_bits(), reference.final_time.to_bits());
     assert_eq!(resumed.failures, reference.failures);
+}
+
+/// A composite run and the snapshot of its first boundary, whose fields the
+/// rejection tests then break one at a time.
+fn composite_snapshot<'e>(
+    engine: &'e Engine,
+    profile: &ApplicationProfile,
+) -> (ResumableSim<'e>, SimSnapshot) {
+    let sim = ResumableSim::new(engine, Protocol::AbftPeriodicCkpt, profile);
+    let mut buffer = engine.trace_buffer(5);
+    let RunStatus::Killed(snapshot) = sim.run_killed(&mut buffer, 1) else {
+        panic!("kill 1 did not kill");
+    };
+    (sim, snapshot)
+}
+
+#[test]
+fn resume_rejects_a_snapshot_of_another_protocol() {
+    let engine = Engine::new(&params());
+    let profile = ApplicationProfile::from_params_repeated(engine.params(), 2);
+    let (_, snapshot) = composite_snapshot(&engine, &profile);
+    let pure = ResumableSim::new(&engine, Protocol::PurePeriodicCkpt, &profile);
+    let mut buffer = engine.trace_buffer(5);
+    assert_eq!(
+        pure.resume(&mut buffer, &snapshot),
+        Err(ResumeError::ProtocolMismatch {
+            snapshot: Protocol::AbftPeriodicCkpt,
+            run: Protocol::PurePeriodicCkpt,
+        })
+    );
+}
+
+#[test]
+fn resume_rejects_a_step_past_the_end_of_the_program() {
+    let engine = Engine::new(&params());
+    let profile = ApplicationProfile::from_params_repeated(engine.params(), 2);
+    let (sim, snapshot) = composite_snapshot(&engine, &profile);
+    let steps = sim.steps().len();
+    let mut buffer = engine.trace_buffer(5);
+    // One past the last step is the finished-run boundary: it resumes into
+    // an immediately finished run at the snapshot's clock.
+    let at_end = SimSnapshot {
+        step: steps,
+        within: WithinStep::StartOfStep,
+        ..snapshot
+    };
+    let finished = sim.resume(&mut buffer, &at_end).unwrap();
+    assert_eq!(finished.final_time.to_bits(), snapshot.now_bits);
+    assert_eq!(finished.failures as u64, snapshot.failures);
+    let past_end = SimSnapshot {
+        step: steps + 1,
+        ..at_end
+    };
+    assert_eq!(
+        sim.resume(&mut buffer, &past_end),
+        Err(ResumeError::StepOutOfRange {
+            step: steps + 1,
+            steps,
+        })
+    );
+}
+
+#[test]
+fn resume_rejects_progress_of_the_wrong_step_kind() {
+    let engine = Engine::new(&params());
+    let profile = ApplicationProfile::from_params_repeated(engine.params(), 2);
+    let (sim, snapshot) = composite_snapshot(&engine, &profile);
+    let within = WithinStep::AbftDone(60.0f64.to_bits());
+    let mut buffer = engine.trace_buffer(5);
+    for (step, kind) in sim.steps().iter().enumerate() {
+        let misplaced = SimSnapshot {
+            step,
+            within,
+            ..snapshot
+        };
+        let resumed = sim.resume(&mut buffer, &misplaced);
+        if matches!(kind, Step::AbftWork { .. }) {
+            assert!(resumed.is_ok(), "step {step}: {kind:?}");
+        } else {
+            assert_eq!(
+                resumed,
+                Err(ResumeError::WithinMismatch { step, within }),
+                "step {step}: {kind:?}"
+            );
+        }
+    }
+    // ABFT progress has no step to live in at the finished-run boundary.
+    let step = sim.steps().len();
+    let at_end = SimSnapshot {
+        step,
+        within,
+        ..snapshot
+    };
+    assert_eq!(
+        sim.resume(&mut buffer, &at_end),
+        Err(ResumeError::WithinMismatch { step, within })
+    );
+}
+
+/// A 42-byte record of the unversioned format that counted checkpointed
+/// streams, not program steps: `PurePeriodicCkpt`, stream 1, 500 s saved,
+/// clock at 1000 s with the next failure at 1100 s, 2 failures.
+const UNVERSIONED_RECORD: [u8; 42] = [
+    0x00, // protocol
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // step
+    0x01, // within: saved stream work
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x7f, 0x40, // 500.0
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x8f, 0x40, // now 1000.0
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x30, 0x91, 0x40, // next failure 1100.0
+    0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // failures
+];
+
+#[test]
+fn unversioned_snapshot_records_are_rejected_not_resumed() {
+    assert_eq!(SimSnapshot::from_bytes(&UNVERSIONED_RECORD), None);
+    // Through the verified pipeline the frame is intact, but its payload is
+    // not a snapshot: the load fails as a corrupt frame.
+    let mut pipeline = CheckpointPipeline::new(Crc32::new(), MemoryBackend::new());
+    let generation = pipeline.commit_state(&UNVERSIONED_RECORD, 1000.0).unwrap();
+    assert!(matches!(
+        SimSnapshot::load(&mut pipeline),
+        Err(RestoreFault::CorruptFrame { generation: g, .. }) if g == generation
+    ));
+    // The current format grows the record by its leading version byte.
+    let engine = Engine::new(&params());
+    let profile = ApplicationProfile::from_params(engine.params());
+    let (_, snapshot) = composite_snapshot(&engine, &profile);
+    assert_eq!(snapshot.to_bytes().len(), UNVERSIONED_RECORD.len() + 1);
 }

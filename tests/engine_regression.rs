@@ -213,3 +213,290 @@ fn multi_epoch_zero_failure_time_is_work_plus_deterministic_checkpoints() {
         assert!((out.base_time - work).abs() < 1e-9);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Golden outcomes beyond the single-epoch grid.
+//
+// The scalar executors, the batch engine's slow path and the crash-resume
+// driver all unfold the same protocol semantics.  The pins below were
+// recorded from independent implementations of those three, so they keep
+// the differential oracles honest when the implementations are merged: a
+// merged interpreter must still land on these exact bit patterns.
+
+use abft_ckpt_composite::platform::failure::{AnyFailureModel, FailureSpec};
+use abft_ckpt_composite::platform::scenario::ScenarioSpec;
+use abft_ckpt_composite::sim::batch::{accumulate_paired_engine_batch, simulate_profile_batch};
+use abft_ckpt_composite::sim::replicate::{
+    accumulate_paired_engine, PairedAccumulator, ReplicationBudget, ReplicationPlan,
+};
+use abft_ckpt_composite::sim::resume::ResumableSim;
+use abft_ckpt_composite::sim::{OutcomeAccumulator, Welford};
+
+const PIN_SEEDS: [u64; 3] = [1, 7, 42];
+
+fn pin_params() -> ModelParams {
+    ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap()
+}
+
+/// Three epochs: a GENERAL phase longer than the optimal period (periodic
+/// checkpoints), a shorter one (the composite's single attempt ending in
+/// the forced REMAINDER checkpoint) and an empty one (the composite's lone
+/// forced entry checkpoint), each followed by LIBRARY work.
+fn pin_profile() -> ApplicationProfile {
+    use abft_ckpt_composite::composite::scenario::Epoch;
+    ApplicationProfile::new(vec![
+        Epoch::new(hours(6.0), hours(2.0)).unwrap(),
+        Epoch::new(minutes(20.0), minutes(40.0)).unwrap(),
+        Epoch::new(0.0, hours(1.0)).unwrap(),
+    ])
+}
+
+/// Every failure family and scenario the engine runs under, resolved at the
+/// pinned point's MTBF.
+fn pin_engines() -> Vec<(&'static str, Engine)> {
+    let params = pin_params();
+    let mtbf = params.platform_mtbf;
+    let horizon = hours(48.0);
+    let scenario = |spec: ScenarioSpec| -> AnyFailureModel { spec.resolve(mtbf, horizon).unwrap() };
+    let spec = |spec: FailureSpec| Engine::with_failure_spec(&params, spec).unwrap();
+    vec![
+        ("exponential", spec(FailureSpec::Exponential)),
+        ("weibull0.7", spec(FailureSpec::Weibull { shape: 0.7 })),
+        ("lognormal1.0", spec(FailureSpec::LogNormal { sigma: 1.0 })),
+        ("cascade", Engine::with_failure_model(&params, scenario(ScenarioSpec::Cascade))),
+        ("diurnal", Engine::with_failure_model(&params, scenario(ScenarioSpec::Diurnal))),
+        ("wearout", Engine::with_failure_model(&params, scenario(ScenarioSpec::Wearout))),
+        (
+            "trace",
+            Engine::with_failure_model(&params, scenario(ScenarioSpec::Trace { path: None })),
+        ),
+    ]
+}
+
+/// (source, protocol, seed, final_time bits, failures) of
+/// `simulate_profile(protocol, pin_profile(), seed)`.
+const PINNED_PROFILE: &[(&str, Protocol, u64, u64, usize)] = &[
+    ("exponential", Protocol::PurePeriodicCkpt, 1, 0x40ea375aff1d12c7, 6),
+    ("exponential", Protocol::PurePeriodicCkpt, 7, 0x40eaa51957d8f4f7, 7),
+    ("exponential", Protocol::PurePeriodicCkpt, 42, 0x40e9838a2dd4a98b, 3),
+    ("exponential", Protocol::BiPeriodicCkpt, 1, 0x40ead31451f34d48, 6),
+    ("exponential", Protocol::BiPeriodicCkpt, 7, 0x40ed9b2b67f823cf, 8),
+    ("exponential", Protocol::BiPeriodicCkpt, 42, 0x40e9f90a040e5cde, 3),
+    ("exponential", Protocol::AbftPeriodicCkpt, 1, 0x40e842ff6d97ac7c, 6),
+    ("exponential", Protocol::AbftPeriodicCkpt, 7, 0x40e7d175d2c4a7ae, 6),
+    ("exponential", Protocol::AbftPeriodicCkpt, 42, 0x40e7badbca74a986, 3),
+    ("weibull0.7", Protocol::PurePeriodicCkpt, 1, 0x40ec3e09c5efd34b, 6),
+    ("weibull0.7", Protocol::PurePeriodicCkpt, 7, 0x40ed316fe73287f5, 8),
+    ("weibull0.7", Protocol::PurePeriodicCkpt, 42, 0x40e7551d2d63e2c7, 2),
+    ("weibull0.7", Protocol::BiPeriodicCkpt, 1, 0x40eca709c5efd34a, 6),
+    ("weibull0.7", Protocol::BiPeriodicCkpt, 7, 0x40ec30ec8bf3f03b, 8),
+    ("weibull0.7", Protocol::BiPeriodicCkpt, 42, 0x40e7be1d2d63e2c6, 2),
+    ("weibull0.7", Protocol::AbftPeriodicCkpt, 1, 0x40eb7f89c5efd34a, 6),
+    ("weibull0.7", Protocol::AbftPeriodicCkpt, 7, 0x40e960b7508df68a, 6),
+    ("weibull0.7", Protocol::AbftPeriodicCkpt, 42, 0x40e6969d2d63e2c7, 2),
+    ("lognormal1.0", Protocol::PurePeriodicCkpt, 1, 0x40ee1e0a4e5e6516, 9),
+    ("lognormal1.0", Protocol::PurePeriodicCkpt, 7, 0x40eeeae56744ae90, 9),
+    ("lognormal1.0", Protocol::PurePeriodicCkpt, 42, 0x40f0ed2797de6b7a, 13),
+    ("lognormal1.0", Protocol::BiPeriodicCkpt, 1, 0x40ee4db7d877a538, 9),
+    ("lognormal1.0", Protocol::BiPeriodicCkpt, 7, 0x40edbc653d7e61e3, 9),
+    ("lognormal1.0", Protocol::BiPeriodicCkpt, 42, 0x40f128882e42da20, 13),
+    ("lognormal1.0", Protocol::AbftPeriodicCkpt, 1, 0x40eb884f027fa3ac, 8),
+    ("lognormal1.0", Protocol::AbftPeriodicCkpt, 7, 0x40e738a92c2208c4, 6),
+    ("lognormal1.0", Protocol::AbftPeriodicCkpt, 42, 0x40ed83aa9d870a12, 13),
+    ("cascade", Protocol::PurePeriodicCkpt, 1, 0x40e68effffffffff, 0),
+    ("cascade", Protocol::PurePeriodicCkpt, 7, 0x40e8eed29527aba0, 3),
+    ("cascade", Protocol::PurePeriodicCkpt, 42, 0x40e68effffffffff, 0),
+    ("cascade", Protocol::BiPeriodicCkpt, 1, 0x40e85f11aa471fb0, 5),
+    ("cascade", Protocol::BiPeriodicCkpt, 7, 0x40e98a8be7fde620, 3),
+    ("cascade", Protocol::BiPeriodicCkpt, 42, 0x40e6ad0000000000, 0),
+    ("cascade", Protocol::AbftPeriodicCkpt, 1, 0x40e5858000000000, 0),
+    ("cascade", Protocol::AbftPeriodicCkpt, 7, 0x40e6fab703a24555, 3),
+    ("cascade", Protocol::AbftPeriodicCkpt, 42, 0x40e5858000000000, 0),
+    ("diurnal", Protocol::PurePeriodicCkpt, 1, 0x40ed46cc35c29ab7, 7),
+    ("diurnal", Protocol::PurePeriodicCkpt, 7, 0x40ee376b35de3cb7, 8),
+    ("diurnal", Protocol::PurePeriodicCkpt, 42, 0x40edba5ba8b94b13, 7),
+    ("diurnal", Protocol::BiPeriodicCkpt, 1, 0x40ed3f1e581cc13b, 7),
+    ("diurnal", Protocol::BiPeriodicCkpt, 7, 0x40ee556b35de3cb8, 8),
+    ("diurnal", Protocol::BiPeriodicCkpt, 42, 0x40edb2adcb137197, 7),
+    ("diurnal", Protocol::AbftPeriodicCkpt, 1, 0x40eb6fdb21210bc2, 7),
+    ("diurnal", Protocol::AbftPeriodicCkpt, 7, 0x40ed2deb35de3cb8, 8),
+    ("diurnal", Protocol::AbftPeriodicCkpt, 42, 0x40ea115924355744, 7),
+    ("wearout", Protocol::PurePeriodicCkpt, 1, 0x40e73f2840896999, 1),
+    ("wearout", Protocol::PurePeriodicCkpt, 7, 0x40e9c23f1f1c0373, 4),
+    ("wearout", Protocol::PurePeriodicCkpt, 42, 0x40e757ac07e09b6e, 1),
+    ("wearout", Protocol::BiPeriodicCkpt, 1, 0x40e793cdf0b006f0, 1),
+    ("wearout", Protocol::BiPeriodicCkpt, 7, 0x40e7b6cb136fa75a, 3),
+    ("wearout", Protocol::BiPeriodicCkpt, 42, 0x40e7ac51b80738c5, 1),
+    ("wearout", Protocol::AbftPeriodicCkpt, 1, 0x40e5858000000000, 0),
+    ("wearout", Protocol::AbftPeriodicCkpt, 7, 0x40e643c613dc4a6b, 3),
+    ("wearout", Protocol::AbftPeriodicCkpt, 42, 0x40e5858000000000, 0),
+    ("trace", Protocol::PurePeriodicCkpt, 1, 0x40ed456f6851c6ad, 12),
+    ("trace", Protocol::PurePeriodicCkpt, 7, 0x40ef538a4b1bd7ed, 14),
+    ("trace", Protocol::PurePeriodicCkpt, 42, 0x40e9dc98f288d247, 8),
+    ("trace", Protocol::BiPeriodicCkpt, 1, 0x40edbaef3e8b7a00, 12),
+    ("trace", Protocol::BiPeriodicCkpt, 7, 0x40efc90a21558b40, 14),
+    ("trace", Protocol::BiPeriodicCkpt, 42, 0x40ec74e7a5b91e26, 12),
+    ("trace", Protocol::AbftPeriodicCkpt, 1, 0x40ea534665481846, 12),
+    ("trace", Protocol::AbftPeriodicCkpt, 7, 0x40eb358fff2acdb6, 11),
+    ("trace", Protocol::AbftPeriodicCkpt, 42, 0x40e8d318f288d248, 8),
+];
+
+fn pinned_profile_outcome(source: &str, protocol: Protocol, seed: u64) -> (u64, usize) {
+    PINNED_PROFILE
+        .iter()
+        .find(|&&(s, p, sd, _, _)| s == source && p == protocol && sd == seed)
+        .map(|&(_, _, _, bits, failures)| (bits, failures))
+        .unwrap_or_else(|| panic!("no pin for {source}/{protocol:?}/seed {seed}"))
+}
+
+/// Fails with the full table of actual rows, so a mismatch shows every
+/// diverging outcome at once.
+fn assert_rows(label: &str, actual: &[String], pinned: &[String]) {
+    if actual != pinned {
+        panic!(
+            "{label}: outcomes differ from the pins; actual rows:\n{}",
+            actual.join("\n")
+        );
+    }
+}
+
+#[test]
+fn multi_epoch_profiles_reproduce_their_pins_under_every_failure_source() {
+    let profile = pin_profile();
+    let mut actual = Vec::new();
+    for (name, engine) in pin_engines() {
+        let plan = engine.plan();
+        // The profile exercises every step kind under every plan.
+        assert!(profile.epochs()[0].general >= plan.full_period, "{name}");
+        assert!(profile.epochs()[1].general < plan.full_period, "{name}");
+        let mut failures = 0;
+        for protocol in Protocol::all() {
+            let batch = simulate_profile_batch(&engine, protocol, &profile, &PIN_SEEDS);
+            for (lane, &seed) in PIN_SEEDS.iter().enumerate() {
+                let out = engine.simulate_profile(protocol, &profile, seed);
+                assert_eq!(batch[lane], out, "{name}/{protocol:?}/seed {seed}: batch lane");
+                failures += out.failures;
+                actual.push(format!(
+                    "    (\"{name}\", Protocol::{protocol:?}, {seed}, {:#018x}, {}),",
+                    out.final_time.to_bits(),
+                    out.failures
+                ));
+            }
+        }
+        assert!(failures > 0, "{name}: the pinned runs saw no failure");
+    }
+    let pinned: Vec<String> = PINNED_PROFILE
+        .iter()
+        .map(|&(name, protocol, seed, bits, failures)| {
+            format!("    (\"{name}\", Protocol::{protocol:?}, {seed}, {bits:#018x}, {failures}),")
+        })
+        .collect();
+    assert_rows("simulate_profile", &actual, &pinned);
+}
+
+#[test]
+fn resumable_runs_reproduce_the_profile_pins() {
+    let profile = pin_profile();
+    for (name, engine) in pin_engines() {
+        let mut buffer = engine.trace_buffer(0);
+        for protocol in Protocol::all() {
+            let sim = ResumableSim::new(&engine, protocol, &profile);
+            for seed in PIN_SEEDS {
+                buffer.reset(seed);
+                let out = sim.run(&mut buffer);
+                let (bits, failures) = pinned_profile_outcome(name, protocol, seed);
+                assert_eq!(
+                    (out.final_time.to_bits(), out.failures),
+                    (bits, failures),
+                    "{name}/{protocol:?}/seed {seed}"
+                );
+                assert_eq!(out.base_time, profile.total_duration());
+            }
+        }
+    }
+}
+
+fn welford_row(w: &Welford) -> String {
+    format!(
+        "{}, {:#018x}, {:#018x}",
+        w.count(),
+        w.mean().to_bits(),
+        w.variance().to_bits()
+    )
+}
+
+fn accumulator_row(acc: &OutcomeAccumulator) -> String {
+    format!(
+        "{}; {}; {}",
+        welford_row(&acc.waste),
+        welford_row(&acc.final_time),
+        welford_row(&acc.failures)
+    )
+}
+
+fn paired_rows(label: &str, acc: &PairedAccumulator) -> Vec<String> {
+    let mut rows = Vec::new();
+    for (i, protocol) in acc.protocols.iter().enumerate() {
+        rows.push(format!(
+            "    \"{label} {protocol:?} outcomes {}\",",
+            accumulator_row(&acc.outcomes[i])
+        ));
+        rows.push(format!(
+            "    \"{label} {protocol:?} delta {}\",",
+            welford_row(&acc.deltas[i])
+        ));
+    }
+    rows
+}
+
+/// Per-protocol accumulator fields (`count, mean bits, variance bits` of
+/// waste; final time; failures) and per-protocol paired deltas of
+/// `accumulate_paired_engine` over `pin_profile()`, seed 2024.
+const PINNED_PAIRED: &[&str] = &[
+    "exponential antithetic=false PurePeriodicCkpt outcomes 48, 0x3fda61af8b8b4708, 0x3f734ea5a671a547; 48, 0x40ee4bc9fa29de34, 0x41879cb7e2b2b05f; 48, 0x4021c00000000002, 0x402c90572620ae4b",
+    "exponential antithetic=false PurePeriodicCkpt delta 0, 0x0000000000000000, 0x0000000000000000",
+    "exponential antithetic=false BiPeriodicCkpt outcomes 48, 0x3fda0b307f08c532, 0x3f705c869aed6e53; 48, 0x40edf6e677484a69, 0x4183aea34a0e4a7d; 48, 0x4021955555555556, 0x402b50cb58f6ec08",
+    "exponential antithetic=false BiPeriodicCkpt delta 48, 0xbf759fc320a074d2, 0x3f3a610bab7b53b4",
+    "exponential antithetic=false AbftPeriodicCkpt outcomes 48, 0x3fd539ac1b0d1754, 0x3f7066054e466f98; 48, 0x40ea895c86f93235, 0x417a3e0cce649f52; 48, 0x401faaaaaaaaaaac, 0x4027d0cb58f6ec08",
+    "exponential antithetic=false AbftPeriodicCkpt delta 48, 0xbfb4a00dc1f8beba, 0x3f57751f8176260e",
+    "exponential antithetic=true PurePeriodicCkpt outcomes 48, 0x3fda7693aaebceae, 0x3f5de92fded717d6; 48, 0x40ee666b6fb180a0, 0x417498fce042b2ec; 48, 0x4021baaaaaaaaaab, 0x400c3bb01d0cb592",
+    "exponential antithetic=true PurePeriodicCkpt delta 0, 0x0000000000000000, 0x0000000000000000",
+    "exponential antithetic=true BiPeriodicCkpt outcomes 48, 0x3fda0dc11abfc936, 0x3f5956abf9acf5e3; 48, 0x40ee0271db36ac9d, 0x4170332dbcd73443; 48, 0x40216ffffffffffe, 0x400a1ea3677d46cc",
+    "exponential antithetic=true BiPeriodicCkpt delta 48, 0xbf7a34a40b015da7, 0x3f2955cc075e27d9",
+    "exponential antithetic=true AbftPeriodicCkpt outcomes 48, 0x3fd56f759f33760b, 0x3f54f32ae3853672; 48, 0x40eab24e0239948d, 0x4161fbac7e886b1f; 48, 0x401f6aaaaaaaaaa9, 0x4004979a538489fd",
+    "exponential antithetic=true AbftPeriodicCkpt delta 48, 0xbfb41c782ee16280, 0x3f4452b3066c993b",
+    "weibull0.7 antithetic=false PurePeriodicCkpt outcomes 48, 0x3fda128ff9c27315, 0x3f784298d5bdcc3f; 48, 0x40ee2d0304624037, 0x4190a4172531af36; 48, 0x40246aaaaaaaaaac, 0x403bbe2f34a70916",
+    "weibull0.7 antithetic=false PurePeriodicCkpt delta 0, 0x0000000000000000, 0x0000000000000000",
+    "weibull0.7 antithetic=false BiPeriodicCkpt outcomes 48, 0x3fda1aa422f35f41, 0x3f74697e8cc75e26; 48, 0x40ee1baa1cb7b9e5, 0x418a9646cf2f75e9; 48, 0x4024200000000000, 0x4039c310572620ae",
+    "weibull0.7 antithetic=false BiPeriodicCkpt delta 48, 0x3f40285261d857ae, 0x3f45a39b45f0318b",
+    "weibull0.7 antithetic=false AbftPeriodicCkpt outcomes 48, 0x3fd5a3d76e30ae50, 0x3f7344658e372f0f; 48, 0x40ead856899abcd2, 0x418045f5b7821e6d; 48, 0x40217fffffffffff, 0x40347d46cefa8d9e",
+    "weibull0.7 antithetic=false AbftPeriodicCkpt delta 48, 0xbfb1bae22e47130c, 0x3f6207f7ff939dc9",
+    "weibull0.7 antithetic=true PurePeriodicCkpt outcomes 48, 0x3fd99778fa34c417, 0x3f64b016c886a8de; 48, 0x40edc3ddcefef78b, 0x417a23ca0764292d; 48, 0x40236ffffffffffe, 0x401e09df51b3be9f",
+    "weibull0.7 antithetic=true PurePeriodicCkpt delta 0, 0x0000000000000000, 0x0000000000000000",
+    "weibull0.7 antithetic=true BiPeriodicCkpt outcomes 48, 0x3fd9e216ce661494, 0x3f61a5b19957c3fe; 48, 0x40edeea7d980bbb8, 0x4175eeae026faecc; 48, 0x4023700000000000, 0x401c76cefa8d9df5",
+    "weibull0.7 antithetic=true BiPeriodicCkpt delta 48, 0x3f72a7750c541f54, 0x3f2e9563b0f67c08",
+    "weibull0.7 antithetic=true AbftPeriodicCkpt outcomes 48, 0x3fd57bce1a0c7a38, 0x3f5bd907a6e9879b; 48, 0x40eacb85e88decdc, 0x4168d86011cb0ecc; 48, 0x40212fffffffffff, 0x4014ebea3677d46d",
+    "weibull0.7 antithetic=true AbftPeriodicCkpt delta 48, 0xbfb06eab80a1277c, 0x3f4afe8b5eb45367",
+];
+
+#[test]
+fn paired_accumulators_reproduce_their_pins_plain_and_antithetic() {
+    let profile = pin_profile();
+    let engines = pin_engines();
+    let mut actual = Vec::new();
+    for (name, engine) in engines.iter().filter(|(n, _)| ["exponential", "weibull0.7"].contains(n)) {
+        for antithetic in [false, true] {
+            let plan = ReplicationPlan::new(ReplicationBudget::Fixed(48)).antithetic(antithetic);
+            let label = format!("{name} antithetic={antithetic}");
+            let acc = accumulate_paired_engine(engine, &Protocol::all(), &profile, plan, 2024);
+            actual.extend(paired_rows(&label, &acc));
+            for lanes in [1, 20, 64] {
+                let batch =
+                    accumulate_paired_engine_batch(engine, &Protocol::all(), &profile, plan, 2024, lanes);
+                assert_eq!(batch, acc, "{label} lanes {lanes}");
+            }
+        }
+    }
+    let pinned: Vec<String> = PINNED_PAIRED.iter().map(|row| format!("    \"{row}\",")).collect();
+    assert_rows("accumulate_paired_engine", &actual, &pinned);
+}

@@ -149,7 +149,9 @@ fn mid_run_resume_is_bit_identical_for_every_source() {
                 panic!("{name}/{protocol:?}: kill {kill}/{total} did not kill");
             };
             buffer.reset(17);
-            let resumed = sim.resume(&mut buffer, &snapshot);
+            let resumed = sim
+                .resume(&mut buffer, &snapshot)
+                .expect("a snapshot of this run resumes it");
             assert_bit_identical(
                 &resumed,
                 &reference,
