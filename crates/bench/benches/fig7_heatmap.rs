@@ -1,11 +1,12 @@
 //! Criterion bench for the Figure-7 machinery: how fast one model evaluation
-//! and one simulated execution are, and how long a small validation grid
-//! takes.  (The full figure is regenerated by the `fig7` binary.)
+//! and one simulated execution are, and how long a small model-versus-
+//! simulation grid takes.  (The full figure is regenerated by the `fig7`
+//! binary.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ft_bench::figure7_base;
+use ft_bench::{figure7_base, Axis, Parameter, SweepSpec};
 use ft_platform::units::minutes;
-use ft_sim::validate::{validation_grid, model_waste};
+use ft_sim::validate::model_waste;
 use ft_sim::{simulate, Protocol};
 use std::hint::black_box;
 
@@ -37,22 +38,20 @@ fn bench_single_simulation(c: &mut Criterion) {
 }
 
 fn bench_small_grid(c: &mut Criterion) {
-    let base = figure7_base();
-    let mtbfs = [minutes(60.0), minutes(150.0), minutes(240.0)];
-    let alphas = [0.0, 0.5, 1.0];
+    let spec = SweepSpec::new("fig7 validation grid", figure7_base())
+        .axis(Axis::values(
+            Parameter::Mtbf,
+            vec![minutes(60.0), minutes(150.0), minutes(240.0)],
+        ))
+        .axis(Axis::values(Parameter::Alpha, vec![0.0, 0.5, 1.0]))
+        .protocols(vec![Protocol::AbftPeriodicCkpt])
+        .replications(20)
+        .seed(7)
+        .model_gap(true);
     let mut group = c.benchmark_group("fig7/validation_grid_3x3x20reps");
     group.sample_size(10);
     group.bench_function("ABFT&PeriodicCkpt", |b| {
-        b.iter(|| {
-            black_box(validation_grid(
-                Protocol::AbftPeriodicCkpt,
-                &base,
-                &mtbfs,
-                &alphas,
-                20,
-                7,
-            ))
-        })
+        b.iter(|| black_box(spec.run_serial().expect("a valid grid")))
     });
     group.finish();
 }

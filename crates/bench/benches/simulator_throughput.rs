@@ -1,12 +1,15 @@
 //! Criterion bench for the simulator's Monte-Carlo throughput: sequential
-//! single executions versus Rayon-parallel replication batches (the knob that
-//! makes the thousand-replication sweeps of the paper practical).
+//! single executions versus the batch replication driver on every core (the
+//! knob that makes the thousand-replication sweeps of the paper practical).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ft_bench::figure7_base;
+use ft_composite::scenario::ApplicationProfile;
 use ft_platform::units::minutes;
-use ft_sim::replicate::replicate;
-use ft_sim::{simulate, OutcomeAccumulator, Protocol};
+use ft_sim::{
+    accumulate_profile_program_batch, simulate, BatchProgram, Engine, OutcomeAccumulator, Protocol,
+    ReplicationBudget, DEFAULT_BATCH_LANES,
+};
 use std::hint::black_box;
 
 fn bench_sequential_vs_parallel(c: &mut Criterion) {
@@ -26,8 +29,24 @@ fn bench_sequential_vs_parallel(c: &mut Criterion) {
             black_box(acc.waste.mean())
         })
     });
-    group.bench_function("rayon_parallel", |b| {
-        b.iter(|| black_box(replicate(Protocol::AbftPeriodicCkpt, &params, reps, 42)))
+    group.bench_function("batch_all_threads", |b| {
+        let engine = Engine::new(&params);
+        let profile = ApplicationProfile::from_params(&params);
+        let program = BatchProgram::compile(Protocol::AbftPeriodicCkpt, &profile, engine.plan());
+        let budget = ReplicationBudget::Fixed(reps);
+        b.iter(|| {
+            // `threads 0`: the driver splits the replications across every
+            // available core.
+            let acc = accumulate_profile_program_batch(
+                &engine,
+                &program,
+                budget,
+                42,
+                DEFAULT_BATCH_LANES,
+                0,
+            );
+            black_box(acc.waste.mean())
+        })
     });
     group.finish();
 }

@@ -15,8 +15,6 @@
 //! * [`restore`] — rollback recovery, full or partial;
 //! * [`store`] — checkpoint repositories with storage-cost accounting on top
 //!   of the `ft-platform` storage models;
-//! * [`manager`] — the periodic-checkpoint manager: interval policy,
-//!   phase-aware enabling/disabling, forced checkpoints at phase switches;
 //! * [`frame`] — the checksummed frame wire format checkpoints are
 //!   serialized into (header/chunks/trailer, each carrying a checksum);
 //! * [`backend`] — pluggable stores for serialized streams: in-memory,
@@ -44,7 +42,6 @@ pub mod coordinated;
 pub mod error;
 pub mod frame;
 pub mod incremental;
-pub mod manager;
 pub mod partial;
 pub mod pipeline;
 pub mod restore;
@@ -60,7 +57,6 @@ pub use coordinated::CoordinatedCheckpoint;
 pub use error::CkptError;
 pub use frame::{FrameFault, FrameHeader, FrameWriter, PayloadKind};
 pub use incremental::IncrementalCheckpoint;
-pub use manager::{CheckpointDecision, PeriodicManager, Phase};
 pub use partial::{PartialCheckpoint, SplitCheckpoint};
 pub use pipeline::{
     apply_partial_onto, CheckpointPipeline, CostSummary, GenerationCost, PipelineOp,

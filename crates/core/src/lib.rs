@@ -20,8 +20,8 @@
 //! * [`scenario`] — application profiles (sequences of GENERAL/LIBRARY
 //!   phases) consumed by the simulator and by the composite runtime;
 //! * [`composite_runtime`] — an executable state machine of the composite
-//!   protocol driving the `ft-ckpt` and `ft-abft` substrates on real process
-//!   state;
+//!   protocol driving the `ft-ckpt` substrate on real process state, with
+//!   ABFT-style parity reconstruction of the LIBRARY dataset;
 //! * [`scaling`] — the weak-scaling scenario generators behind Figures 8, 9
 //!   and 10 of the paper.
 

@@ -47,32 +47,30 @@
 //!
 //! # Entry points
 //!
-//! * [`simulate_profile_batch`] / [`simulate_profile_batch_antithetic`] /
-//!   [`simulate_profile_batch_replay`] — one batch, one outcome per lane
-//!   (the oracle harness surface);
-//! * [`accumulate_profile_engine_batch`] — batch counterpart of
-//!   [`crate::replicate::accumulate_profile_engine`]: same seed stream, same
-//!   push order, same adaptive stopping checks, bit-identical accumulator;
-//! * [`accumulate_paired_engine_batch`] — batch counterpart of
-//!   [`crate::replicate::accumulate_paired_engine`] (common random numbers
-//!   across protocols, paired-delta stopping);
+//! * [`simulate_profile_batch`] — one batch over any
+//!   [`BatchFailureSource`] (fresh streams, antithetic partners, recorded
+//!   trace lanes), one outcome per lane: the oracle harness surface;
 //! * [`accumulate_paired_programs_batch`] — the one replication driver:
 //!   pre-compiled (usually [`BatchProgramCache`]d) programs, one per
-//!   protocol, with an intra-point `threads` knob that splits replication
-//!   blocks across OS threads while staying bit-identical to the serial
-//!   driver (deterministic [`SeedStream::nth_seed`] offsets,
-//!   order-preserving merge, stopping checks on the same block boundaries);
-//!   [`accumulate_profile_program_batch`] is that driver over one program.
+//!   protocol, over common random numbers, with an intra-point `threads`
+//!   knob that splits replication blocks across OS threads while staying
+//!   bit-identical to the serial driver (deterministic
+//!   [`SeedStream::nth_seed`] offsets, order-preserving merge, stopping
+//!   checks on the same block boundaries).  It reproduces the scalar
+//!   reference [`crate::replicate::accumulate_paired_engine`] bit for bit:
+//!   same seed stream, same push sequence, same stopping rule (both are
+//!   [`PairedAccumulator`] methods);
+//! * [`accumulate_profile_program_batch`] — that driver over one program.
 //!
-//! The sweep subsystem runs every simulation through these drivers, at
-//! every `--batch-lanes` width including 1.
+//! The sweep subsystem runs every simulation through the driver, at every
+//! `--batch-lanes` width including 1.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use ft_composite::scenario::ApplicationProfile;
-use ft_platform::batch::{BatchFailureSource, BatchFailureStream, BatchTraceBuffer};
-use ft_platform::failure::{FailureModel, FailureSource};
+use ft_platform::batch::{BatchFailureSource, BatchFailureStream};
+use ft_platform::failure::FailureSource;
 use ft_platform::rng::SeedStream;
 
 use crate::clock::SimClock;
@@ -295,55 +293,23 @@ impl BatchProgram {
     }
 }
 
-/// Simulates one batch of `protocol` over `profile`: lane `i` draws a fresh
-/// failure sequence from `seeds[i]` and reproduces, bit for bit, the scalar
-/// [`Engine::simulate_profile`] outcome on that seed.
+/// Simulates one batch of `protocol` over `profile`, lane `i` drawing its
+/// failures from lane `i` of `source`.  Each lane reproduces, bit for bit,
+/// the scalar executor over the same sequence: a [`BatchFailureStream`]
+/// lane seeded `s` gives [`Engine::simulate_profile`] on seed `s` (after
+/// `reset_antithetic`, the replay of the antithetic partner sequence), and
+/// a [`ft_platform::batch::BatchTraceBuffer`]'s cursors give
+/// [`Engine::simulate_profile_replay`] over each recorded lane.
 pub fn simulate_profile_batch(
     engine: &Engine,
     protocol: Protocol,
     profile: &ApplicationProfile,
-    seeds: &[u64],
+    source: &mut impl BatchFailureSource,
 ) -> Vec<SimOutcome> {
     let program = BatchProgram::compile(protocol, profile, engine.plan());
-    let mut stream = BatchFailureStream::new(*engine.failure_model(), seeds);
     let mut state = BatchState::new();
-    program.run(&mut stream, &mut state);
-    (0..seeds.len()).map(|lane| program.outcome(&state, lane)).collect()
-}
-
-/// [`simulate_profile_batch`] over the **antithetic partner** sequences of
-/// the seeds: lane `i` reproduces the scalar replay of
-/// [`ft_platform::trace::TraceBuffer::reset_antithetic`] on `seeds[i]`.
-pub fn simulate_profile_batch_antithetic(
-    engine: &Engine,
-    protocol: Protocol,
-    profile: &ApplicationProfile,
-    seeds: &[u64],
-) -> Vec<SimOutcome> {
-    let program = BatchProgram::compile(protocol, profile, engine.plan());
-    let mut stream = BatchFailureStream::new(*engine.failure_model(), seeds);
-    stream.reset_antithetic(seeds);
-    let mut state = BatchState::new();
-    program.run(&mut stream, &mut state);
-    (0..seeds.len()).map(|lane| program.outcome(&state, lane)).collect()
-}
-
-/// Simulates one batch of `protocol` over `profile`, **replaying** the
-/// failure sequences recorded in `buffer` lane by lane (batch common random
-/// numbers): lane `i` reproduces the scalar
-/// [`Engine::simulate_profile_replay`] outcome over `buffer`'s lane `i`.
-pub fn simulate_profile_batch_replay<M: FailureModel + Clone>(
-    engine: &Engine,
-    protocol: Protocol,
-    profile: &ApplicationProfile,
-    buffer: &mut BatchTraceBuffer<M>,
-) -> Vec<SimOutcome> {
-    let program = BatchProgram::compile(protocol, profile, engine.plan());
-    let lanes = buffer.lanes();
-    let mut cursors = buffer.cursors();
-    let mut state = BatchState::new();
-    program.run(&mut cursors, &mut state);
-    (0..lanes).map(|lane| program.outcome(&state, lane)).collect()
+    program.run(source, &mut state);
+    (0..state.lanes()).map(|lane| program.outcome(&state, lane)).collect()
 }
 
 /// A compiled-program cache keyed by the exact `(protocol, profile, plan)`
@@ -522,31 +488,9 @@ fn segment_seeds(master_seed: u64, start: usize, width: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Batch counterpart of [`crate::replicate::accumulate_profile_engine`]:
-/// replications are advanced `lanes` at a time through the compiled program,
-/// but consume the **same seed stream in the same order**, feed the
-/// [`OutcomeAccumulator`] with the same push sequence and apply the same
-/// block-wise adaptive stopping checks — the returned accumulator is
-/// bit-identical to the scalar path's.
-///
-/// `lanes` is the batch width; replication blocks that are not a multiple of
-/// it run a ragged tail batch of the remaining width.
-pub fn accumulate_profile_engine_batch(
-    engine: &Engine,
-    protocol: Protocol,
-    profile: &ApplicationProfile,
-    plan: impl Into<ReplicationPlan>,
-    master_seed: u64,
-    lanes: usize,
-) -> OutcomeAccumulator {
-    let program = BatchProgram::compile(protocol, profile, engine.plan());
-    accumulate_profile_program_batch(engine, &program, plan, master_seed, lanes, 1)
-}
-
-/// [`accumulate_profile_engine_batch`] over a pre-compiled program, with an
-/// intra-point `threads` knob: the paired driver
-/// ([`accumulate_paired_programs_batch`]) over this one program, which has
-/// no deltas to stream and stops by the marginal rule alone.
+/// The replication driver ([`accumulate_paired_programs_batch`]) over one
+/// pre-compiled program, which has no deltas to stream and stops by the
+/// marginal rule alone.
 pub fn accumulate_profile_program_batch(
     engine: &Engine,
     program: &BatchProgram,
@@ -564,33 +508,18 @@ pub fn accumulate_profile_program_batch(
     std::mem::take(&mut acc.outcomes[0])
 }
 
-/// Batch counterpart of [`crate::replicate::accumulate_paired_engine`]: all
-/// protocols replay the same per-lane failure sequences (common random
-/// numbers), per-trace waste deltas stream against the baseline, and the
-/// paired-delta / marginal stopping rules fire on the same block boundaries
-/// as the scalar path — the returned [`PairedAccumulator`] is bit-identical.
-pub fn accumulate_paired_engine_batch(
-    engine: &Engine,
-    protocols: &[Protocol],
-    profile: &ApplicationProfile,
-    plan: impl Into<ReplicationPlan>,
-    master_seed: u64,
-    lanes: usize,
-) -> PairedAccumulator {
-    let programs: Vec<BatchProgram> = protocols
-        .iter()
-        .map(|&p| BatchProgram::compile(p, profile, engine.plan()))
-        .collect();
-    let program_refs: Vec<&BatchProgram> = programs.iter().collect();
-    accumulate_paired_programs_batch(engine, protocols, &program_refs, plan, master_seed, lanes, 1)
-}
-
 /// One protocol-set evaluation of a paired segment: per-protocol first-pass
 /// outcomes plus (under antithetic pairing) per-protocol partner outcomes.
 type PairedSegment = (Vec<Vec<SimOutcome>>, Vec<Vec<SimOutcome>>);
 
-/// [`accumulate_paired_engine_batch`] over pre-compiled programs (one per
-/// protocol, same order), with an intra-point `threads` knob.
+/// The replication driver: a common-random-numbers comparison of
+/// pre-compiled programs (one per protocol, same order), `lanes`
+/// replications at a time, with an intra-point `threads` knob.  All
+/// protocols replay the same per-lane failure sequences, per-trace waste
+/// deltas stream against the baseline, and the paired-delta / marginal
+/// stopping rules fire on the same block boundaries as the scalar
+/// reference [`crate::replicate::accumulate_paired_engine`] — the returned
+/// [`PairedAccumulator`] is bit-identical to it.
 ///
 /// `threads == 0` resolves to the host's available parallelism; `threads <=
 /// 1` runs the serial driver.  The parallel driver splits replication blocks
@@ -643,47 +572,19 @@ fn drive_programs(
     let lanes = lanes.max(1);
     let threads = resolve_threads(threads);
     let model = *engine.failure_model();
-    // Serial and parallel drivers share the per-segment merge: the per-lane,
-    // per-protocol push sequence of the scalar paired loop.
+    // Serial and parallel drivers share the per-segment merge: lane by
+    // lane, the scalar reference's per-sample push sequence.
     let merge_segment =
         |acc: &mut PairedAccumulator, firsts: &[Vec<SimOutcome>], partners: &[Vec<SimOutcome>]| {
             let width = firsts[0].len();
             if plan.antithetic {
                 for lane in 0..width {
-                    let mut baseline_waste = 0.0;
-                    for i in 0..firsts.len() {
-                        let pair_waste =
-                            (firsts[i][lane].waste() + partners[i][lane].waste()) / 2.0;
-                        acc.outcomes[i].push_pair(&firsts[i][lane], &partners[i][lane]);
-                        if i == 0 {
-                            baseline_waste = pair_waste;
-                        } else {
-                            acc.deltas[i].push(pair_waste - baseline_waste);
-                        }
-                    }
+                    acc.push_sample(|i| (firsts[i][lane], Some(partners[i][lane])));
                 }
             } else {
-                for lane in 0..width {
-                    let mut baseline_waste = 0.0;
-                    for (i, outcomes) in firsts.iter().enumerate() {
-                        let out = outcomes[lane];
-                        let waste = out.waste();
-                        acc.outcomes[i].push(&out);
-                        if i == 0 {
-                            baseline_waste = waste;
-                        } else {
-                            acc.deltas[i].push(waste - baseline_waste);
-                        }
-                    }
-                }
+                (0..width).for_each(|lane| acc.push_sample(|i| (firsts[i][lane], None)));
             }
         };
-    let stopped = |acc: &PairedAccumulator| {
-        let deltas_resolved = budget.is_paired_delta()
-            && acc.deltas.len() > 1
-            && acc.deltas[1..].iter().all(|d| budget.delta_resolved(d));
-        deltas_resolved || acc.outcomes.iter().all(|o| budget.satisfied(&o.waste))
-    };
     // Every program's stream restarts from the same segment seeds — the
     // batch form of replaying one recorded trace per seed to all protocols.
     let run_segment = |stream: &mut BatchFailureStream<_>,
@@ -737,7 +638,7 @@ fn drive_programs(
                     segment += 1;
                 }
                 done += block_len;
-                if stopped(acc) {
+                if acc.stopped(&budget) {
                     break 'drive;
                 }
             }
@@ -766,7 +667,7 @@ fn drive_programs(
             remaining -= width;
         }
         done += block;
-        if stopped(acc) {
+        if acc.stopped(&budget) {
             break;
         }
     }
@@ -775,11 +676,10 @@ fn drive_programs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replicate::{
-        accumulate_paired_engine, accumulate_profile_engine, ReplicationBudget,
-    };
+    use crate::replicate::{accumulate_paired_engine, ReplicationBudget};
     use ft_composite::params::ModelParams;
-    use ft_platform::failure::FailureSpec;
+    use ft_platform::batch::BatchTraceBuffer;
+    use ft_platform::failure::{AnyFailureModel, FailureSpec};
     use ft_platform::units::minutes;
 
     fn fig7_engine(spec: FailureSpec) -> Engine {
@@ -791,6 +691,11 @@ mod tests {
         SeedStream::new(0xFEED).take(n).collect()
     }
 
+    /// Fresh per-lane failure streams of `engine`'s model, one per seed.
+    fn fresh(engine: &Engine, seeds: &[u64]) -> BatchFailureStream<AnyFailureModel> {
+        BatchFailureStream::new(*engine.failure_model(), seeds)
+    }
+
     #[test]
     fn batch_lanes_match_scalar_simulations_bit_for_bit() {
         for spec in [FailureSpec::Exponential, FailureSpec::Weibull { shape: 0.7 }] {
@@ -798,7 +703,12 @@ mod tests {
             let profile = ApplicationProfile::from_params_repeated(engine.params(), 3);
             let seeds = seeds(33);
             for protocol in Protocol::all() {
-                let batch = simulate_profile_batch(&engine, protocol, &profile, &seeds);
+                let batch = simulate_profile_batch(
+                    &engine,
+                    protocol,
+                    &profile,
+                    &mut fresh(&engine, &seeds),
+                );
                 for (lane, &seed) in seeds.iter().enumerate() {
                     let scalar = engine.simulate_profile(protocol, &profile, seed);
                     assert_eq!(
@@ -818,8 +728,10 @@ mod tests {
         let profile = ApplicationProfile::from_params(engine.params());
         let seeds = seeds(9);
         let mut buffer = engine.trace_buffer(0);
+        let mut partners = fresh(&engine, &seeds);
         for protocol in Protocol::all() {
-            let batch = simulate_profile_batch_antithetic(&engine, protocol, &profile, &seeds);
+            partners.reset_antithetic(&seeds);
+            let batch = simulate_profile_batch(&engine, protocol, &profile, &mut partners);
             for (lane, &seed) in seeds.iter().enumerate() {
                 buffer.reset_antithetic(seed);
                 let scalar = engine.simulate_profile_replay(protocol, &profile, &mut buffer);
@@ -836,17 +748,17 @@ mod tests {
         let mut batch_buffer = BatchTraceBuffer::new(*engine.failure_model(), &seeds);
         // Two protocols replay the SAME recorded lanes — common random
         // numbers — and each lane matches its scalar replay.
-        let pure = simulate_profile_batch_replay(
+        let pure = simulate_profile_batch(
             &engine,
             Protocol::PurePeriodicCkpt,
             &profile,
-            &mut batch_buffer,
+            &mut batch_buffer.cursors(),
         );
-        let composite = simulate_profile_batch_replay(
+        let composite = simulate_profile_batch(
             &engine,
             Protocol::AbftPeriodicCkpt,
             &profile,
-            &mut batch_buffer,
+            &mut batch_buffer.cursors(),
         );
         let mut scalar_buffer = engine.trace_buffer(0);
         for (lane, &seed) in seeds.iter().enumerate() {
@@ -870,6 +782,8 @@ mod tests {
     fn batch_accumulator_is_bit_identical_to_the_scalar_path() {
         let engine = fig7_engine(FailureSpec::Exponential);
         let profile = ApplicationProfile::from_params(engine.params());
+        let protocol = Protocol::AbftPeriodicCkpt;
+        let program = BatchProgram::compile(protocol, &profile, engine.plan());
         for budget in [
             ReplicationBudget::Fixed(130), // ragged: 130 = 2×50 + 30 over 50-lanes
             ReplicationBudget::Adaptive {
@@ -880,22 +794,11 @@ mod tests {
         ] {
             for antithetic in [false, true] {
                 let plan = ReplicationPlan::new(budget).antithetic(antithetic);
-                let scalar = accumulate_profile_engine(
-                    &engine,
-                    Protocol::AbftPeriodicCkpt,
-                    &profile,
-                    plan,
-                    77,
-                );
+                let scalar =
+                    accumulate_paired_engine(&engine, &[protocol], &profile, plan, 77).outcomes[0];
                 for lanes in [1, 7, 50, 256] {
-                    let batch = accumulate_profile_engine_batch(
-                        &engine,
-                        Protocol::AbftPeriodicCkpt,
-                        &profile,
-                        plan,
-                        77,
-                        lanes,
-                    );
+                    let batch =
+                        accumulate_profile_program_batch(&engine, &program, plan, 77, lanes, 1);
                     assert_eq!(scalar, batch, "{budget:?} antithetic={antithetic} lanes={lanes}");
                 }
             }
@@ -907,6 +810,11 @@ mod tests {
         let engine = fig7_engine(FailureSpec::Weibull { shape: 0.7 });
         let profile = ApplicationProfile::from_params(engine.params());
         let protocols = [Protocol::PurePeriodicCkpt, Protocol::AbftPeriodicCkpt];
+        let programs: Vec<BatchProgram> = protocols
+            .iter()
+            .map(|&p| BatchProgram::compile(p, &profile, engine.plan()))
+            .collect();
+        let refs: Vec<&BatchProgram> = programs.iter().collect();
         for budget in [
             ReplicationBudget::Fixed(90),
             ReplicationBudget::AdaptiveDelta {
@@ -919,8 +827,9 @@ mod tests {
                 let plan = ReplicationPlan::new(budget).antithetic(antithetic);
                 let scalar = accumulate_paired_engine(&engine, &protocols, &profile, plan, 5);
                 for lanes in [1, 32, 128] {
-                    let batch =
-                        accumulate_paired_engine_batch(&engine, &protocols, &profile, plan, 5, lanes);
+                    let batch = accumulate_paired_programs_batch(
+                        &engine, &protocols, &refs, plan, 5, lanes, 1,
+                    );
                     assert_eq!(scalar, batch, "{budget:?} antithetic={antithetic} lanes={lanes}");
                 }
             }
@@ -930,14 +839,14 @@ mod tests {
     #[test]
     fn paired_batch_of_no_protocols_is_an_empty_no_op() {
         let engine = fig7_engine(FailureSpec::Exponential);
-        let profile = ApplicationProfile::from_params(engine.params());
-        let paired = accumulate_paired_engine_batch(
+        let paired = accumulate_paired_programs_batch(
             &engine,
             &[],
-            &profile,
+            &[],
             ReplicationBudget::Fixed(10),
             1,
             64,
+            2,
         );
         assert_eq!(paired.replications(), 0);
         assert!(paired.outcomes.is_empty());
@@ -1072,7 +981,12 @@ mod tests {
         let p = BatchProgram::compile(Protocol::AbftPeriodicCkpt, &lib_only, engine.plan());
         assert_eq!(p.len(), 3); // Forced + AbftWork + AbftCkpt
         let scalar = engine.simulate_profile(Protocol::AbftPeriodicCkpt, &lib_only, 3);
-        let batch = simulate_profile_batch(&engine, Protocol::AbftPeriodicCkpt, &lib_only, &[3]);
+        let batch = simulate_profile_batch(
+            &engine,
+            Protocol::AbftPeriodicCkpt,
+            &lib_only,
+            &mut fresh(&engine, &[3]),
+        );
         assert_eq!(batch[0], scalar);
     }
 }

@@ -26,9 +26,9 @@
 //! The executors are generic over the clock's [`FailureSource`], so the same
 //! protocol code runs under exponential (the paper) and Weibull (robustness
 //! studies) failures, freshly sampled or replayed from a recorded
-//! [`TraceBuffer`] — the latter is how [`Engine::simulate_paired`] shows the
-//! **same** failure sequence to every protocol (common random numbers),
-//! turning protocol comparisons into paired comparisons.
+//! [`TraceBuffer`] — the latter is how [`Engine::simulate_profile_replay`]
+//! shows the **same** failure sequence to every protocol (common random
+//! numbers), turning protocol comparisons into paired comparisons.
 //!
 //! For a single-epoch profile the engine reproduces the pre-refactor
 //! `simulate()` results on the same seed, and multi-epoch profiles
@@ -535,43 +535,10 @@ impl Engine {
         self.run_with(&protocol, profile, SimClock::with_source(buffer.cursor()))
     }
 
-    /// Single-epoch counterpart of [`Engine::simulate_profile_replay`]:
-    /// replays `buffer` through the exact event sequence of
-    /// [`Engine::simulate`], bit-for-bit.
-    pub fn simulate_replay<M: FailureModel>(
-        &self,
-        protocol: Protocol,
-        buffer: &mut TraceBuffer<M>,
-    ) -> SimOutcome {
-        self.single_epoch(protocol, SimClock::with_source(buffer.cursor()))
-    }
-
-    /// Simulates all three protocols over `profile` on **one** failure
-    /// sequence (reseeded from `seed`): the paired, common-random-numbers
-    /// counterpart of calling [`Engine::simulate_profile`] three times.
-    /// Outcomes are returned in [`Protocol::all`] order.
-    pub fn simulate_paired<M: FailureModel>(
-        &self,
-        profile: &ApplicationProfile,
-        seed: u64,
-        buffer: &mut TraceBuffer<M>,
-    ) -> [SimOutcome; 3] {
-        buffer.reset(seed);
-        Protocol::all().map(|p| self.simulate_profile_replay(p, profile, buffer))
-    }
-
     /// Simulates the single-epoch application described by the engine's
     /// parameters (the pre-refactor `simulate()` behaviour).
     pub fn simulate(&self, protocol: Protocol, seed: u64) -> SimOutcome {
-        self.single_epoch(protocol, SimClock::with_model(self.model, seed))
-    }
-
-    /// The single-epoch application of [`Engine::simulate`] on any clock.
-    fn single_epoch<F: FailureSource>(
-        &self,
-        protocol: Protocol,
-        mut clock: SimClock<F>,
-    ) -> SimOutcome {
+        let mut clock = SimClock::with_model(self.model, seed);
         let base_time = self.params.epoch_duration;
         if protocol == Protocol::PurePeriodicCkpt {
             // The pure protocol treats the epoch as one opaque stream of
@@ -870,12 +837,6 @@ mod tests {
         for protocol in Protocol::all() {
             for seed in [1u64, 7, 42] {
                 buffer.reset(seed);
-                let replayed = engine.simulate_replay(protocol, &mut buffer);
-                let fresh = engine.simulate(protocol, seed);
-                assert_eq!(replayed.final_time.to_bits(), fresh.final_time.to_bits());
-                assert_eq!(replayed, fresh);
-
-                buffer.reset(seed);
                 let replayed = engine.simulate_profile_replay(protocol, &profile, &mut buffer);
                 let fresh = engine.simulate_profile(protocol, &profile, seed);
                 assert_eq!(replayed.final_time.to_bits(), fresh.final_time.to_bits());
@@ -890,7 +851,11 @@ mod tests {
         let engine = Engine::new(&params);
         let profile = ApplicationProfile::from_params(&params);
         let mut buffer = engine.trace_buffer(0);
-        let [pure, bi, composite] = engine.simulate_paired(&profile, 11, &mut buffer);
+        let mut paired = || {
+            buffer.reset(11);
+            Protocol::all().map(|p| engine.simulate_profile_replay(p, &profile, &mut buffer))
+        };
+        let [pure, bi, composite] = paired();
         // Each outcome is bit-identical to its unpaired run on the same seed
         // (common random numbers change the *correlation*, not the marginals).
         assert_eq!(pure, engine.simulate_profile(Protocol::PurePeriodicCkpt, &profile, 11));
@@ -900,8 +865,7 @@ mod tests {
             engine.simulate_profile(Protocol::AbftPeriodicCkpt, &profile, 11)
         );
         // And the whole paired run is reproducible.
-        let again = engine.simulate_paired(&profile, 11, &mut buffer);
-        assert_eq!([pure, bi, composite], again);
+        assert_eq!([pure, bi, composite], paired());
     }
 
     #[test]

@@ -18,18 +18,21 @@
 //!   outcomes ([`SimOutcome`]);
 //! * [`stats`] — Welford accumulation, confidence intervals, the single
 //!   outcome aggregator of the workspace;
-//! * [`replicate`](mod@replicate) — Monte-Carlo replication: Rayon-parallel
-//!   over replications, or sequential (the `ft-bench` sweep subsystem's
-//!   path) under a [`ReplicationBudget`] — fixed counts or adaptive
-//!   precision-targeted stopping — with common-random-numbers pairing of
-//!   protocols over shared failure traces ([`accumulate_paired`]);
+//! * [`replicate`] — Monte-Carlo replication plans: a
+//!   [`ReplicationBudget`] (fixed counts or adaptive precision-targeted
+//!   stopping), antithetic pairing, and the [`PairedAccumulator`] that
+//!   pairs protocols over shared failure traces and holds the one
+//!   per-sample push and stopping rule; plus the scalar reference driver
+//!   [`accumulate_paired_engine`];
 //! * [`batch`](mod@batch) — the structure-of-arrays batch engine: many
 //!   replications of one parameter point advanced in lockstep through a
 //!   compiled step program, with interrupted lanes rerun by the shared
 //!   interpreter — bit-exact with the scalar executors (proven by the
-//!   differential oracle harness in `tests/batch_engine_oracle.rs`);
-//! * [`validate`] — model-versus-simulation comparison grids (the right-hand
-//!   column of Figure 7);
+//!   differential oracle harness in `tests/batch_engine_oracle.rs`) — and
+//!   the one replication driver, [`accumulate_paired_programs_batch`],
+//!   parallel within a point on scoped threads;
+//! * [`validate`] — the closed-form model arm of a model-versus-simulation
+//!   comparison (the right-hand column of Figure 7);
 //! * [`resume`](mod@resume) — crash-resume: kill a run at any snapshot
 //!   boundary of its step program, persist a [`SimSnapshot`] (program
 //!   position + clock state) through `ft-ckpt`'s checksummed frame
@@ -50,10 +53,8 @@ pub mod stats;
 pub mod validate;
 
 pub use batch::{
-    accumulate_paired_engine_batch, accumulate_paired_programs_batch,
-    accumulate_profile_engine_batch, accumulate_profile_program_batch, simulate_profile_batch,
-    simulate_profile_batch_antithetic, simulate_profile_batch_replay, BatchProgram,
-    BatchProgramCache, BatchState, DEFAULT_BATCH_LANES,
+    accumulate_paired_programs_batch, accumulate_profile_program_batch, simulate_profile_batch,
+    BatchProgram, BatchProgramCache, BatchState, DEFAULT_BATCH_LANES,
 };
 pub use clock::{ActivityResult, SimClock};
 pub use engine::{
@@ -62,10 +63,7 @@ pub use engine::{
 pub use protocols::{simulate, Protocol, SimOutcome};
 pub use resume::{ResumableSim, ResumeError, RunStatus, SimSnapshot, WithinStep};
 pub use replicate::{
-    accumulate, accumulate_budget, accumulate_engine_budget, accumulate_paired,
-    accumulate_paired_engine, accumulate_profile, accumulate_profile_budget,
-    accumulate_profile_engine, replicate, replicate_all, PairedAccumulator, ReplicationBudget,
-    ReplicationPlan, SimStats,
+    accumulate_paired_engine, PairedAccumulator, ReplicationBudget, ReplicationPlan, SimStats,
 };
 pub use stats::{OutcomeAccumulator, Welford};
-pub use validate::{model_waste_with, validation_grid, ValidationCell};
+pub use validate::model_waste_with;

@@ -1,13 +1,14 @@
-//! Monte-Carlo replication.
+//! Monte-Carlo replication: budgets, plans, accumulators and the scalar
+//! reference driver.
 //!
 //! The paper's evaluation averages "the termination time over a thousand
-//! executions" per parameter point.  This module is the replication fast
-//! path rebuilt around two ideas:
+//! executions" per parameter point.  Three ideas shape how this crate runs
+//! that loop:
 //!
-//! * **Common random numbers** — every replication records its failure
-//!   sequence in a reusable [`TraceBuffer`] (seeded from the allocation-free
-//!   [`SeedStream`]), so several protocols can replay the *same* failures
-//!   and be compared pairwise trace-for-trace ([`accumulate_paired`]);
+//! * **Common random numbers** — every replication's failure sequence is
+//!   derived from the allocation-free [`SeedStream`], so several protocols
+//!   can replay the *same* failures and be compared pairwise
+//!   trace-for-trace ([`PairedAccumulator`]);
 //! * **Adaptive budgets** — a [`ReplicationBudget`] either runs a fixed
 //!   count (`Fixed(n)`, bit-compatible with the historical behaviour and
 //!   guarded by the pinned-seed engine regression) or runs replications in
@@ -20,25 +21,20 @@
 //!   resolved (sign decided or precision met) — provably no later, and
 //!   usually far earlier, than the marginal rule on the same traces.
 //!
-//! Entry points by parallelism regime:
-//!
-//! * [`replicate`] — parallel over replications.  Use when evaluating a
-//!   single parameter point interactively;
-//! * [`accumulate`] / [`accumulate_profile`] / the `*_budget` and
-//!   [`accumulate_paired`] variants — sequential, returning raw
-//!   accumulators.  Use from code that is already parallel over *points*
-//!   (the `ft-bench` sweep subsystem), where nesting another parallel layer
-//!   would only add scheduling overhead.
+//! The replication driver is the batch engine's
+//! [`accumulate_paired_programs_batch`](crate::batch::accumulate_paired_programs_batch)
+//! (with its one-program wrapper
+//! [`accumulate_profile_program_batch`](crate::batch::accumulate_profile_program_batch)).
+//! [`accumulate_paired_engine`] is its scalar reference — one replication
+//! at a time through the executors — which the oracle tests compare it
+//! against.  Both drivers feed samples through [`PairedAccumulator`]'s one
+//! push sequence and stop by its one stopping rule.
 //!
 //! All aggregation goes through [`crate::stats::Welford`] (via
 //! [`OutcomeAccumulator`]); no ad-hoc mean/variance sums anywhere.
 
-use ft_composite::params::ModelParams;
 use ft_composite::scenario::ApplicationProfile;
-use ft_platform::failure::AnyFailureModel;
 use ft_platform::rng::SeedStream;
-use ft_platform::trace::TraceBuffer;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::Engine;
@@ -68,7 +64,7 @@ pub enum ReplicationBudget {
         max: usize,
     },
     /// Paired-delta sequential stopping for common-random-numbers
-    /// comparisons ([`accumulate_paired`]): instead of tightening every
+    /// comparisons ([`PairedAccumulator`]): instead of tightening every
     /// protocol's *marginal* waste interval, stop as soon as each per-trace
     /// waste **difference** against the baseline is resolved — either its
     /// CI95 excludes zero (the sign of the comparison is decided, which is
@@ -154,9 +150,7 @@ impl ReplicationBudget {
     }
 
     /// Whether `acc` (the waste accumulator) satisfies the stopping rule.
-    /// Crate-visible so the batch engine (`crate::batch`) applies the exact
-    /// same stopping decisions as the scalar [`drive`] loop.
-    pub(crate) fn satisfied(&self, acc: &Welford) -> bool {
+    fn satisfied(&self, acc: &Welford) -> bool {
         match *self {
             ReplicationBudget::Fixed(n) => acc.count() >= n as u64,
             ReplicationBudget::Adaptive {
@@ -186,7 +180,7 @@ impl ReplicationBudget {
     /// 95 % (the CI excludes zero) or the difference itself meets the
     /// requested precision.  Non-delta budgets fall back to the marginal
     /// rule on the delta accumulator.
-    pub(crate) fn delta_resolved(&self, delta: &Welford) -> bool {
+    fn delta_resolved(&self, delta: &Welford) -> bool {
         match *self {
             ReplicationBudget::AdaptiveDelta {
                 rel_precision,
@@ -228,15 +222,16 @@ impl ReplicationBudget {
 /// A replication budget plus the variance-reduction knobs that ride along
 /// with it — currently antithetic variates.
 ///
-/// Every `*_engine` accumulation entry point takes `impl Into<ReplicationPlan>`,
-/// so call sites that only care about the budget keep passing a bare
+/// Every replication driver takes `impl Into<ReplicationPlan>`, so call
+/// sites that only care about the budget keep passing a bare
 /// [`ReplicationBudget`] unchanged.
 ///
 /// With `antithetic` set, each seed of the replication stream runs **twice**
 /// — once on its recorded failure sequence and once on the antithetic
-/// partner sequence ([`TraceBuffer::reset_antithetic`]: every uniform
-/// flipped to `1 − u`) — and the pair *average* enters the accumulators as
-/// one sample ([`OutcomeAccumulator::push_pair`]).  A budget of `n` then
+/// partner sequence
+/// ([`TraceBuffer::reset_antithetic`](ft_platform::trace::TraceBuffer::reset_antithetic):
+/// every uniform flipped to `1 − u`) — and the pair *average* enters the
+/// accumulators as one sample ([`OutcomeAccumulator::push_pair`]).  A budget of `n` then
 /// means `n` pair-samples (2·`n` simulated executions); on smooth waste
 /// responses the pair averaging cancels first-order sampling noise, so the
 /// same execution count buys a tighter confidence interval (and adaptive
@@ -343,165 +338,10 @@ impl SimStats {
     }
 }
 
-/// Runs `replications` independent simulations of `protocol` and aggregates
-/// the results. Replications run in parallel.
-pub fn replicate(
-    protocol: Protocol,
-    params: &ModelParams,
-    replications: usize,
-    master_seed: u64,
-) -> SimStats {
-    let replications = replications.max(1);
-    let engine = Engine::new(params);
-    // The vendored rayon parallelises slices, so the parallel path carries
-    // one index vector; the per-task seed is computed in O(1) from the
-    // stream position, keeping the seed values identical to the sequential
-    // SeedStream order.
-    let indices: Vec<u64> = (0..replications as u64).collect();
-    let acc = indices
-        .par_iter()
-        .map(|&i| engine.simulate(protocol, SeedStream::nth_seed(master_seed, i)))
-        .fold(OutcomeAccumulator::new, |mut acc, out| {
-            acc.push(&out);
-            acc
-        })
-        .reduce(OutcomeAccumulator::new, |mut a, b| {
-            a.merge(&b);
-            a
-        });
-    SimStats::from_accumulator(protocol, &acc)
-}
-
-/// Drives one parameter point's replications under a plan: every sample
-/// reseeds the shared trace buffer from the seed stream (twice, in
-/// antithetic mode) and pushes the outcome(s) of `run` into the
-/// accumulator, checking the stopping rule between blocks.
-fn drive<R>(engine: &Engine, plan: ReplicationPlan, master_seed: u64, mut run: R) -> OutcomeAccumulator
-where
-    R: FnMut(&Engine, &mut TraceBuffer<AnyFailureModel>) -> SimOutcome,
-{
-    let mut acc = OutcomeAccumulator::new();
-    let mut seeds = SeedStream::new(master_seed);
-    let mut buffer = engine.trace_buffer(master_seed);
-    let mut done = 0usize;
-    loop {
-        let block = plan.budget.next_block(done);
-        if block == 0 {
-            break;
-        }
-        for _ in 0..block {
-            let seed = seeds.next().expect("seed streams are infinite");
-            buffer.reset(seed);
-            let outcome = run(engine, &mut buffer);
-            if plan.antithetic {
-                buffer.reset_antithetic(seed);
-                let partner = run(engine, &mut buffer);
-                acc.push_pair(&outcome, &partner);
-            } else {
-                acc.push(&outcome);
-            }
-        }
-        done += block;
-        if plan.budget.satisfied(&acc.waste) {
-            break;
-        }
-    }
-    acc
-}
-
-/// Sequentially accumulates single-epoch simulations of one parameter point
-/// under a [`ReplicationBudget`].  The [`Engine`] (and its period plan) is
-/// built once; the failure buffer is reused across replications.
-pub fn accumulate_budget(
-    protocol: Protocol,
-    params: &ModelParams,
-    budget: ReplicationBudget,
-    master_seed: u64,
-) -> OutcomeAccumulator {
-    accumulate_engine_budget(&Engine::new(params), protocol, budget, master_seed)
-}
-
-/// [`accumulate_budget`] over a caller-built [`Engine`] — the entry point
-/// when the failure model is not the default exponential one (Weibull
-/// robustness sweeps build the engine through `Engine::with_failure_spec`).
-/// Accepts a bare [`ReplicationBudget`] or a full [`ReplicationPlan`]
-/// (budget + antithetic pairing).
-pub fn accumulate_engine_budget(
-    engine: &Engine,
-    protocol: Protocol,
-    plan: impl Into<ReplicationPlan>,
-    master_seed: u64,
-) -> OutcomeAccumulator {
-    drive(engine, plan.into(), master_seed, |engine, buffer| {
-        engine.simulate_replay(protocol, buffer)
-    })
-}
-
-/// Sequentially accumulates simulations of an arbitrary multi-epoch profile
-/// under a [`ReplicationBudget`].
-pub fn accumulate_profile_budget(
-    protocol: Protocol,
-    params: &ModelParams,
-    profile: &ApplicationProfile,
-    budget: ReplicationBudget,
-    master_seed: u64,
-) -> OutcomeAccumulator {
-    accumulate_profile_engine(&Engine::new(params), protocol, profile, budget, master_seed)
-}
-
-/// [`accumulate_profile_budget`] over a caller-built [`Engine`] (arbitrary
-/// failure model).  Accepts a bare [`ReplicationBudget`] or a full
-/// [`ReplicationPlan`] (budget + antithetic pairing).
-pub fn accumulate_profile_engine(
-    engine: &Engine,
-    protocol: Protocol,
-    profile: &ApplicationProfile,
-    plan: impl Into<ReplicationPlan>,
-    master_seed: u64,
-) -> OutcomeAccumulator {
-    drive(engine, plan.into(), master_seed, |engine, buffer| {
-        engine.simulate_profile_replay(protocol, profile, buffer)
-    })
-}
-
-/// Sequentially accumulates `replications` single-epoch simulations of one
-/// parameter point ([`ReplicationBudget::Fixed`] convenience).
-pub fn accumulate(
-    protocol: Protocol,
-    params: &ModelParams,
-    replications: usize,
-    master_seed: u64,
-) -> OutcomeAccumulator {
-    accumulate_budget(
-        protocol,
-        params,
-        ReplicationBudget::Fixed(replications.max(1)),
-        master_seed,
-    )
-}
-
-/// Sequentially accumulates `replications` simulations of an arbitrary
-/// multi-epoch profile ([`ReplicationBudget::Fixed`] convenience).
-pub fn accumulate_profile(
-    protocol: Protocol,
-    params: &ModelParams,
-    profile: &ApplicationProfile,
-    replications: usize,
-    master_seed: u64,
-) -> OutcomeAccumulator {
-    accumulate_profile_budget(
-        protocol,
-        params,
-        profile,
-        ReplicationBudget::Fixed(replications.max(1)),
-        master_seed,
-    )
-}
-
 /// Common-random-numbers accumulation over several protocols: per
-/// replication, one failure sequence is recorded and replayed to **every**
-/// protocol, and the per-trace waste *differences* against the first
-/// protocol stream through their own Welford accumulators.
+/// replication, one failure sequence is replayed to **every** protocol, and
+/// the per-trace waste *differences* against the first protocol stream
+/// through their own Welford accumulators.
 ///
 /// Because the two waste samples of a difference share the same failure
 /// trace, the sampling noise they have in common cancels and the confidence
@@ -539,10 +379,60 @@ impl PairedAccumulator {
     pub fn baseline(&self) -> Option<Protocol> {
         self.protocols.first().copied()
     }
+
+    /// Pushes one shared-trace sample: `sample(i)` yields slot `i`'s
+    /// outcome, plus its antithetic partner under antithetic pairing (the
+    /// pair mean then enters as one sample).  Slots are visited in order,
+    /// so slot 0's waste is the baseline of every later slot's delta.
+    #[inline]
+    pub(crate) fn push_sample(
+        &mut self,
+        mut sample: impl FnMut(usize) -> (SimOutcome, Option<SimOutcome>),
+    ) {
+        let mut baseline_waste = 0.0;
+        for i in 0..self.outcomes.len() {
+            let waste = match sample(i) {
+                (first, Some(partner)) => {
+                    self.outcomes[i].push_pair(&first, &partner);
+                    (first.waste() + partner.waste()) / 2.0
+                }
+                (first, None) => {
+                    self.outcomes[i].push(&first);
+                    first.waste()
+                }
+            };
+            if i == 0 {
+                baseline_waste = waste;
+            } else {
+                self.deltas[i].push(waste - baseline_waste);
+            }
+        }
+    }
+
+    /// The stopping rule, checked between replication blocks: every paired
+    /// delta is resolved (under [`ReplicationBudget::AdaptiveDelta`]), or
+    /// every marginal waste estimate satisfies the budget.
+    ///
+    /// The paired-delta rule ORs with the marginal rule, so it can only
+    /// stop *earlier* than `Adaptive` on the same traces, never later.
+    /// With no non-baseline slot there is no delta to resolve and only the
+    /// marginal rule applies (a vacuous `all` would otherwise stop every
+    /// baseline-only run right after `min`).
+    #[inline]
+    pub(crate) fn stopped(&self, budget: &ReplicationBudget) -> bool {
+        let deltas_resolved = budget.is_paired_delta()
+            && self.deltas.len() > 1
+            && self.deltas[1..].iter().all(|d| budget.delta_resolved(d));
+        deltas_resolved || self.outcomes.iter().all(|o| budget.satisfied(&o.waste))
+    }
 }
 
 /// Runs a paired (common-random-numbers) comparison of `protocols` over
-/// `profile` under a [`ReplicationBudget`].
+/// `profile` one replication at a time through the scalar executors: the
+/// reference the batch driver
+/// ([`accumulate_paired_programs_batch`](crate::batch::accumulate_paired_programs_batch))
+/// reproduces bit for bit.  Accepts a bare [`ReplicationBudget`] or a full
+/// [`ReplicationPlan`].
 ///
 /// Under [`ReplicationBudget::Adaptive`] the stopping rule applies to the
 /// *worst* waste interval across the compared protocols, so every marginal
@@ -551,25 +441,10 @@ impl PairedAccumulator {
 /// usually much earlier — as soon as every per-trace waste *difference*
 /// against the baseline is resolved (sign decided or precision met), which
 /// is the rule crossover hunting wants: only the comparison matters, not
-/// the marginals.
-pub fn accumulate_paired(
-    protocols: &[Protocol],
-    params: &ModelParams,
-    profile: &ApplicationProfile,
-    budget: ReplicationBudget,
-    master_seed: u64,
-) -> PairedAccumulator {
-    accumulate_paired_engine(&Engine::new(params), protocols, profile, budget, master_seed)
-}
-
-/// [`accumulate_paired`] over a caller-built [`Engine`] (arbitrary failure
-/// model): the sweep subsystem's paired path under exponential *and*
-/// Weibull clocks.  Accepts a bare [`ReplicationBudget`] or a full
-/// [`ReplicationPlan`]; with antithetic pairing enabled, every protocol
-/// replays the seed's failure sequence **and** its antithetic partner, and
-/// the pair means enter the marginal and delta accumulators as one sample —
-/// common random numbers across protocols, antithetic variates across the
-/// pair, composable because both act on the shared trace buffer.
+/// the marginals.  With antithetic pairing enabled, every protocol replays
+/// the seed's failure sequence **and** its antithetic partner, and the pair
+/// means enter the marginal and delta accumulators as one sample — common
+/// random numbers across protocols, antithetic variates across the pair.
 pub fn accumulate_paired_engine(
     engine: &Engine,
     protocols: &[Protocol],
@@ -602,83 +477,70 @@ pub fn accumulate_paired_engine(
         }
         for _ in 0..block {
             let seed = seeds.next().expect("seed streams are infinite");
+            buffer.reset(seed);
             if plan.antithetic {
                 first_pass.clear();
-                buffer.reset(seed);
                 for &protocol in protocols {
                     first_pass.push(engine.simulate_profile_replay(protocol, profile, &mut buffer));
                 }
                 buffer.reset_antithetic(seed);
-                let mut baseline_waste = 0.0;
-                for (i, &protocol) in protocols.iter().enumerate() {
-                    let partner = engine.simulate_profile_replay(protocol, profile, &mut buffer);
-                    let pair_waste = (first_pass[i].waste() + partner.waste()) / 2.0;
-                    acc.outcomes[i].push_pair(&first_pass[i], &partner);
-                    if i == 0 {
-                        baseline_waste = pair_waste;
-                    } else {
-                        acc.deltas[i].push(pair_waste - baseline_waste);
-                    }
-                }
+                acc.push_sample(|i| {
+                    let partner =
+                        engine.simulate_profile_replay(protocols[i], profile, &mut buffer);
+                    (first_pass[i], Some(partner))
+                });
             } else {
-                buffer.reset(seed);
-                let mut baseline_waste = 0.0;
-                for (i, &protocol) in protocols.iter().enumerate() {
-                    let out = engine.simulate_profile_replay(protocol, profile, &mut buffer);
-                    let waste = out.waste();
-                    acc.outcomes[i].push(&out);
-                    if i == 0 {
-                        baseline_waste = waste;
-                    } else {
-                        acc.deltas[i].push(waste - baseline_waste);
-                    }
-                }
+                acc.push_sample(|i| {
+                    (
+                        engine.simulate_profile_replay(protocols[i], profile, &mut buffer),
+                        None,
+                    )
+                });
             }
         }
         done += block;
-        // The paired-delta rule ORs with the marginal rule, so it can only
-        // stop *earlier* than `Adaptive` on the same traces, never later.
-        // With no non-baseline protocol there is no delta to resolve and
-        // only the marginal rule applies (a vacuous `all` would otherwise
-        // stop every baseline-only run right after `min`).
-        let deltas_resolved = budget.is_paired_delta()
-            && acc.deltas.len() > 1
-            && acc.deltas[1..].iter().all(|d| budget.delta_resolved(d));
-        if deltas_resolved || acc.outcomes.iter().all(|o| budget.satisfied(&o.waste)) {
+        if acc.stopped(&budget) {
             break;
         }
     }
     acc
 }
 
-/// Convenience: replicates all three protocols on the same parameters.
-pub fn replicate_all(params: &ModelParams, replications: usize, master_seed: u64) -> [SimStats; 3] {
-    [
-        replicate(Protocol::PurePeriodicCkpt, params, replications, master_seed),
-        replicate(Protocol::BiPeriodicCkpt, params, replications, master_seed),
-        replicate(Protocol::AbftPeriodicCkpt, params, replications, master_seed),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_composite::params::ModelParams;
     use ft_platform::units::minutes;
+
+    /// The scalar driver over one protocol on the point's own one-epoch
+    /// profile.
+    fn single(
+        protocol: Protocol,
+        params: &ModelParams,
+        plan: impl Into<ReplicationPlan>,
+        seed: u64,
+    ) -> OutcomeAccumulator {
+        let profile = ApplicationProfile::from_params(params);
+        let engine = Engine::new(params);
+        accumulate_paired_engine(&engine, &[protocol], &profile, plan, seed).outcomes[0]
+    }
 
     #[test]
     fn replication_is_reproducible() {
         let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
-        let a = replicate(Protocol::PurePeriodicCkpt, &params, 50, 7);
-        let b = replicate(Protocol::PurePeriodicCkpt, &params, 50, 7);
+        let fixed = ReplicationBudget::Fixed(50);
+        let a = single(Protocol::PurePeriodicCkpt, &params, fixed, 7);
+        let b = single(Protocol::PurePeriodicCkpt, &params, fixed, 7);
         assert_eq!(a, b);
-        let c = replicate(Protocol::PurePeriodicCkpt, &params, 50, 8);
-        assert_ne!(a.mean_waste, c.mean_waste);
+        let c = single(Protocol::PurePeriodicCkpt, &params, fixed, 8);
+        assert_ne!(a.waste.mean(), c.waste.mean());
     }
 
     #[test]
     fn statistics_are_sane() {
         let params = ModelParams::paper_figure7(0.8, minutes(90.0)).unwrap();
-        let stats = replicate(Protocol::AbftPeriodicCkpt, &params, 100, 1);
+        let acc = single(Protocol::AbftPeriodicCkpt, &params, ReplicationBudget::Fixed(100), 1);
+        let stats = SimStats::from_accumulator(Protocol::AbftPeriodicCkpt, &acc);
         assert_eq!(stats.replications, 100);
         assert!(stats.mean_waste > 0.0 && stats.mean_waste < 1.0);
         assert!(stats.std_waste >= 0.0);
@@ -688,47 +550,31 @@ mod tests {
     }
 
     #[test]
-    fn replicate_all_orders_protocols() {
-        let params = ModelParams::paper_figure7(0.5, minutes(150.0)).unwrap();
-        let all = replicate_all(&params, 20, 3);
-        assert_eq!(all[0].protocol, Protocol::PurePeriodicCkpt);
-        assert_eq!(all[1].protocol, Protocol::BiPeriodicCkpt);
-        assert_eq!(all[2].protocol, Protocol::AbftPeriodicCkpt);
-    }
-
-    #[test]
     fn more_replications_tighten_the_confidence_interval() {
         let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
-        let small = replicate(Protocol::BiPeriodicCkpt, &params, 20, 11);
-        let large = replicate(Protocol::BiPeriodicCkpt, &params, 400, 11);
-        assert!(large.ci95_waste < small.ci95_waste);
-    }
-
-    #[test]
-    fn sequential_accumulation_matches_parallel_replication() {
-        // Same seeds, same engine: the sequential path used by the sweep
-        // subsystem must agree exactly with the parallel path (the Welford
-        // merge tree differs, so allow float-roundoff slack on the moments).
-        let params = ModelParams::paper_figure7(0.8, minutes(120.0)).unwrap();
-        let par = replicate(Protocol::AbftPeriodicCkpt, &params, 64, 5);
-        let acc = accumulate(Protocol::AbftPeriodicCkpt, &params, 64, 5);
-        let seq = SimStats::from_accumulator(Protocol::AbftPeriodicCkpt, &acc);
-        assert_eq!(par.replications, seq.replications);
-        assert!((par.mean_waste - seq.mean_waste).abs() < 1e-12);
-        assert!((par.std_waste - seq.std_waste).abs() < 1e-9);
-        assert!((par.mean_final_time - seq.mean_final_time).abs() < 1e-6);
-        assert!((par.mean_failures - seq.mean_failures).abs() < 1e-12);
+        let small = single(Protocol::BiPeriodicCkpt, &params, ReplicationBudget::Fixed(20), 11);
+        let large = single(Protocol::BiPeriodicCkpt, &params, ReplicationBudget::Fixed(400), 11);
+        assert!(large.waste.ci95_half_width() < small.waste.ci95_half_width());
     }
 
     #[test]
     fn profile_accumulation_covers_multi_epoch_applications() {
         let params = ModelParams::paper_figure7(0.8, minutes(120.0)).unwrap();
+        let engine = Engine::new(&params);
         let profile = ApplicationProfile::from_params_repeated(&params, 4);
-        let acc = accumulate_profile(Protocol::AbftPeriodicCkpt, &params, &profile, 30, 9);
-        assert_eq!(acc.count(), 30);
-        assert!(acc.waste.mean() > 0.0 && acc.waste.mean() < 1.0);
-        let again = accumulate_profile(Protocol::AbftPeriodicCkpt, &params, &profile, 30, 9);
-        assert_eq!(acc, again);
+        let run = || {
+            accumulate_paired_engine(
+                &engine,
+                &[Protocol::AbftPeriodicCkpt],
+                &profile,
+                ReplicationBudget::Fixed(30),
+                9,
+            )
+        };
+        let acc = run();
+        assert_eq!(acc.replications(), 30);
+        assert!(acc.outcomes[0].waste.mean() > 0.0 && acc.outcomes[0].waste.mean() < 1.0);
+        assert_eq!(acc, run());
     }
 
     #[test]
@@ -739,7 +585,7 @@ mod tests {
             min: 50,
             max: 2_000,
         };
-        let acc = accumulate_budget(Protocol::AbftPeriodicCkpt, &params, budget, 3);
+        let acc = single(Protocol::AbftPeriodicCkpt, &params, budget, 3);
         let n = acc.count();
         assert!(n >= 50);
         assert!(n < 2_000, "a 5 % interval should need far fewer than 2000 reps, used {n}");
@@ -755,7 +601,7 @@ mod tests {
             min: 10,
             max: 120,
         };
-        let acc = accumulate_budget(Protocol::PurePeriodicCkpt, &params, budget, 1);
+        let acc = single(Protocol::PurePeriodicCkpt, &params, budget, 1);
         assert_eq!(acc.count(), 120);
     }
 
@@ -764,13 +610,13 @@ mod tests {
         // The adaptive path consumes the same seed stream as the fixed path,
         // so its first `min` replications are exactly Fixed(min)'s.
         let params = ModelParams::paper_figure7(0.8, minutes(90.0)).unwrap();
-        let fixed = accumulate_budget(
+        let fixed = single(
             Protocol::BiPeriodicCkpt,
             &params,
             ReplicationBudget::Fixed(40),
             17,
         );
-        let adaptive = accumulate_budget(
+        let adaptive = single(
             Protocol::BiPeriodicCkpt,
             &params,
             ReplicationBudget::Adaptive {
@@ -788,9 +634,9 @@ mod tests {
         let params = ModelParams::paper_figure7(0.8, minutes(90.0)).unwrap();
         let profile = ApplicationProfile::from_params(&params);
         let protocols = [Protocol::PurePeriodicCkpt, Protocol::AbftPeriodicCkpt];
-        let paired = accumulate_paired(
+        let paired = accumulate_paired_engine(
+            &Engine::new(&params),
             &protocols,
-            &params,
             &profile,
             ReplicationBudget::Fixed(120),
             21,
@@ -820,21 +666,27 @@ mod tests {
     }
 
     #[test]
-    fn paired_marginals_match_unpaired_accumulation_bit_for_bit() {
-        // Protocol replays of the shared buffer see exactly the sequence the
-        // unpaired path samples: the per-protocol marginals are identical.
+    fn paired_marginals_match_single_protocol_runs_bit_for_bit() {
+        // Every protocol replays the seed's recorded sequence, so a
+        // protocol's marginal is what it accumulates when run alone — plain
+        // and antithetic.
         let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
+        let engine = Engine::new(&params);
         let profile = ApplicationProfile::from_params(&params);
-        let paired = accumulate_paired(
-            &Protocol::all(),
-            &params,
-            &profile,
-            ReplicationBudget::Fixed(30),
-            5,
-        );
-        for (i, &protocol) in Protocol::all().iter().enumerate() {
-            let unpaired = accumulate_profile(protocol, &params, &profile, 30, 5);
-            assert_eq!(paired.outcomes[i], unpaired, "{protocol:?}");
+        for antithetic in [false, true] {
+            let plan = ReplicationPlan::new(ReplicationBudget::Fixed(30)).antithetic(antithetic);
+            let paired = accumulate_paired_engine(&engine, &Protocol::all(), &profile, plan, 5);
+            assert_eq!(paired.replications(), 30);
+            for (i, &protocol) in Protocol::all().iter().enumerate() {
+                let alone = single(protocol, &params, plan, 5);
+                assert_eq!(paired.outcomes[i], alone, "{protocol:?} antithetic={antithetic}");
+            }
+            // Delta bookkeeping: one delta sample per (pair-)sample, mean
+            // consistent with the marginal means.
+            let d = paired.delta(Protocol::AbftPeriodicCkpt).unwrap();
+            assert_eq!(d.count(), 30);
+            let marginal = paired.outcomes[2].waste.mean() - paired.outcomes[0].waste.mean();
+            assert!((d.mean() - marginal).abs() < 1e-12);
         }
     }
 
@@ -842,8 +694,9 @@ mod tests {
     fn paired_accumulation_of_no_protocols_is_an_empty_no_op() {
         let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
         let profile = ApplicationProfile::from_params(&params);
+        let engine = Engine::new(&params);
         let paired =
-            accumulate_paired(&[], &params, &profile, ReplicationBudget::Fixed(10), 1);
+            accumulate_paired_engine(&engine, &[], &profile, ReplicationBudget::Fixed(10), 1);
         assert_eq!(paired.replications(), 0);
         assert_eq!(paired.baseline(), None);
         assert!(paired.outcomes.is_empty());
@@ -887,19 +740,20 @@ mod tests {
     #[test]
     fn paired_delta_budget_stops_no_later_than_the_marginal_rule() {
         let params = ModelParams::paper_figure7(0.8, minutes(90.0)).unwrap();
+        let engine = Engine::new(&params);
         let profile = ApplicationProfile::from_params(&params);
         let protocols = [Protocol::PurePeriodicCkpt, Protocol::AbftPeriodicCkpt];
         let (rel, min, max) = (0.02, 50, 5_000);
-        let delta = accumulate_paired(
+        let delta = accumulate_paired_engine(
+            &engine,
             &protocols,
-            &params,
             &profile,
             ReplicationBudget::AdaptiveDelta { rel_precision: rel, min, max },
             21,
         );
-        let marginal = accumulate_paired(
+        let marginal = accumulate_paired_engine(
+            &engine,
             &protocols,
-            &params,
             &profile,
             ReplicationBudget::Adaptive { rel_precision: rel, min, max },
             21,
@@ -924,14 +778,16 @@ mod tests {
 
     #[test]
     fn paired_delta_budget_degrades_to_adaptive_outside_paired_mode() {
+        // A single protocol has no delta to resolve: the marginal rule alone
+        // decides, exactly as under `Adaptive`.
         let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
-        let adaptive = accumulate_budget(
+        let adaptive = single(
             Protocol::AbftPeriodicCkpt,
             &params,
             ReplicationBudget::Adaptive { rel_precision: 0.05, min: 50, max: 2_000 },
             3,
         );
-        let delta = accumulate_budget(
+        let delta = single(
             Protocol::AbftPeriodicCkpt,
             &params,
             ReplicationBudget::AdaptiveDelta { rel_precision: 0.05, min: 50, max: 2_000 },
@@ -943,22 +799,12 @@ mod tests {
     #[test]
     fn antithetic_pairs_tighten_the_interval_at_equal_execution_count() {
         let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
-        let engine = Engine::new(&params);
         // n antithetic pairs = 2n executions; compare against 2n plain
         // samples so both sides simulate the same number of executions.
         let n = 150;
-        let anti = accumulate_engine_budget(
-            &engine,
-            Protocol::PurePeriodicCkpt,
-            ReplicationPlan::new(ReplicationBudget::Fixed(n)).antithetic(true),
-            7,
-        );
-        let plain = accumulate_engine_budget(
-            &engine,
-            Protocol::PurePeriodicCkpt,
-            ReplicationBudget::Fixed(2 * n),
-            7,
-        );
+        let anti_plan = ReplicationPlan::new(ReplicationBudget::Fixed(n)).antithetic(true);
+        let anti = single(Protocol::PurePeriodicCkpt, &params, anti_plan, 7);
+        let plain = single(Protocol::PurePeriodicCkpt, &params, ReplicationBudget::Fixed(2 * n), 7);
         assert_eq!(anti.count(), n as u64);
         assert_eq!(plain.count(), 2 * n as u64);
         // Means agree (both unbiased estimators of the same waste)…
@@ -972,33 +818,7 @@ mod tests {
             plain.waste.ci95_half_width()
         );
         // And the whole accumulation is reproducible.
-        let again = accumulate_engine_budget(
-            &engine,
-            Protocol::PurePeriodicCkpt,
-            ReplicationPlan::new(ReplicationBudget::Fixed(n)).antithetic(true),
-            7,
-        );
-        assert_eq!(anti, again);
-    }
-
-    #[test]
-    fn paired_antithetic_marginals_match_the_unpaired_antithetic_path() {
-        let params = ModelParams::paper_figure7(0.8, minutes(90.0)).unwrap();
-        let profile = ApplicationProfile::from_params(&params);
-        let engine = Engine::new(&params);
-        let plan = ReplicationPlan::new(ReplicationBudget::Fixed(40)).antithetic(true);
-        let paired = accumulate_paired_engine(&engine, &Protocol::all(), &profile, plan, 3);
-        assert_eq!(paired.replications(), 40);
-        for (i, &protocol) in Protocol::all().iter().enumerate() {
-            let unpaired = accumulate_profile_engine(&engine, protocol, &profile, plan, 3);
-            assert_eq!(paired.outcomes[i], unpaired, "{protocol:?}");
-        }
-        // Delta bookkeeping: one delta sample per pair, mean consistent with
-        // the marginal pair means.
-        let d = paired.delta(Protocol::AbftPeriodicCkpt).unwrap();
-        assert_eq!(d.count(), 40);
-        let marginal = paired.outcomes[2].waste.mean() - paired.outcomes[0].waste.mean();
-        assert!((d.mean() - marginal).abs() < 1e-12);
+        assert_eq!(anti, single(Protocol::PurePeriodicCkpt, &params, anti_plan, 7));
     }
 
     #[test]
@@ -1011,12 +831,10 @@ mod tests {
         assert_eq!(format!("{anti}"), "fixed(10) x antithetic pairs");
         // A non-antithetic plan is bit-compatible with the bare budget path.
         let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
-        let engine = Engine::new(&params);
-        let via_budget =
-            accumulate_engine_budget(&engine, Protocol::BiPeriodicCkpt, ReplicationBudget::Fixed(25), 9);
-        let via_plan = accumulate_engine_budget(
-            &engine,
+        let via_budget = single(Protocol::BiPeriodicCkpt, &params, ReplicationBudget::Fixed(25), 9);
+        let via_plan = single(
             Protocol::BiPeriodicCkpt,
+            &params,
             ReplicationPlan::new(ReplicationBudget::Fixed(25)),
             9,
         );

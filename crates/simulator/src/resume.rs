@@ -188,12 +188,19 @@ pub enum ResumeError {
         steps: usize,
     },
     /// The snapshot's within-step progress does not fit the step at its
-    /// index (ABFT progress is only recorded inside [`Step::AbftWork`]).
+    /// index: ABFT progress is only recorded inside [`Step::AbftWork`], and
+    /// only as a finite amount within `[0, work]` of the step's work.
     WithinMismatch {
         /// Step index recorded in the snapshot.
         step: usize,
         /// Within-step progress recorded in the snapshot.
         within: WithinStep,
+    },
+    /// The snapshot's failure count does not name a position of the failure
+    /// cursor: `failures + 1` draws overflow the host's `usize`.
+    FailureCountOverflow {
+        /// Failure count recorded in the snapshot.
+        failures: u64,
     },
 }
 
@@ -208,6 +215,9 @@ impl std::fmt::Display for ResumeError {
             }
             ResumeError::WithinMismatch { step, within } => {
                 write!(f, "snapshot progress {within:?} does not fit step {step}")
+            }
+            ResumeError::FailureCountOverflow { failures } => {
+                write!(f, "snapshot failure count {failures} overflows the failure cursor")
             }
         }
     }
@@ -325,8 +335,9 @@ impl<'e> ResumableSim<'e> {
     ///
     /// # Errors
     ///
-    /// A [`ResumeError`] when the snapshot belongs to another protocol, or
-    /// its position does not exist in this run's program.
+    /// A [`ResumeError`] when the snapshot belongs to another protocol, its
+    /// position does not exist in this run's program, or its failure count
+    /// cannot position the failure cursor.
     pub fn resume<M: FailureModel>(
         &self,
         buffer: &mut TraceBuffer<M>,
@@ -342,18 +353,24 @@ impl<'e> ResumableSim<'e> {
         if step > steps {
             return Err(ResumeError::StepOutOfRange { step, steps });
         }
-        let done = match snapshot.within {
-            WithinStep::StartOfStep => 0.0,
-            WithinStep::AbftDone(bits) if matches!(self.steps().get(step), Some(Step::AbftWork { .. })) => {
+        let done = match (snapshot.within, self.steps().get(step)) {
+            (WithinStep::StartOfStep, _) => 0.0,
+            // A NaN or out-of-range progress would silently skip the step's
+            // work.
+            (WithinStep::AbftDone(bits), Some(&Step::AbftWork { work }))
+                if (0.0..=work).contains(&f64::from_bits(bits)) =>
+            {
                 f64::from_bits(bits)
             }
-            within @ WithinStep::AbftDone(_) => {
-                return Err(ResumeError::WithinMismatch { step, within })
-            }
+            (within, _) => return Err(ResumeError::WithinMismatch { step, within }),
         };
-        let failures = snapshot.failures as usize;
+        let overflow = ResumeError::FailureCountOverflow {
+            failures: snapshot.failures,
+        };
+        let failures = usize::try_from(snapshot.failures).map_err(|_| overflow)?;
+        let draws = failures.checked_add(1).ok_or(overflow)?;
         let mut clock = SimClock::resume(
-            buffer.cursor_at(failures + 1),
+            buffer.cursor_at(draws),
             f64::from_bits(snapshot.now_bits),
             f64::from_bits(snapshot.next_failure_bits),
             failures,

@@ -1,42 +1,19 @@
-//! Model-versus-simulation validation (the right-hand column of Figure 7).
+//! The model arm of a model-versus-simulation comparison (the right-hand
+//! column of Figure 7).
 //!
 //! For every `(MTBF, α)` point of the Figure-7 grid the paper plots the
 //! difference `WASTE_simul − WASTE_model`; §V-A reports that the model
 //! slightly under-estimates the waste for small MTBFs (up to 12 % in the
 //! worst case, below 5 % as soon as the MTBF is not tiny), because the
-//! closed formula neglects failures striking during recovery.
-//! [`validation_grid`] regenerates exactly that comparison.
+//! closed formula neglects failures striking during recovery.  This module
+//! evaluates the closed-form side of that comparison ([`model_waste`],
+//! [`model_waste_with`]); the sweep subsystem pairs it with the simulation
+//! arm (`ft-bench`'s `SweepSpec` with `--model-gap`).
 
 use ft_composite::model;
 use ft_composite::params::ModelParams;
-use serde::{Deserialize, Serialize};
 
 use crate::protocols::Protocol;
-use crate::replicate::replicate;
-
-/// One cell of a validation grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ValidationCell {
-    /// Platform MTBF of the cell (seconds).
-    pub mtbf: f64,
-    /// LIBRARY-phase fraction of the cell.
-    pub alpha: f64,
-    /// Waste predicted by the closed-form model.
-    pub model_waste: f64,
-    /// Mean waste measured by simulation.
-    pub simulated_waste: f64,
-    /// Half-width of the 95 % confidence interval on the simulated waste.
-    pub ci95: f64,
-    /// Mean number of failures per simulated execution.
-    pub mean_failures: f64,
-}
-
-impl ValidationCell {
-    /// `WASTE_simul − WASTE_model`, the quantity plotted by Figures 7b/7d/7f.
-    pub fn difference(&self) -> f64 {
-        self.simulated_waste - self.model_waste
-    }
-}
 
 /// Computes the model waste of `protocol` for the given parameters under the
 /// paper's exponential first-order model.
@@ -67,152 +44,15 @@ pub fn model_waste_with<M: ft_composite::model::analytic::WasteModel + ?Sized>(
     p.map(|p| p.waste.value()).unwrap_or(1.0)
 }
 
-/// Evaluates one `(MTBF, α)` cell: model prediction plus `replications`
-/// simulated executions.
-pub fn validate_point(
-    protocol: Protocol,
-    base: &ModelParams,
-    mtbf: f64,
-    alpha: f64,
-    replications: usize,
-    seed: u64,
-) -> ValidationCell {
-    let params = base
-        .with_alpha(alpha)
-        .and_then(|p| p.with_mtbf(mtbf))
-        .unwrap_or(*base);
-    let stats = replicate(protocol, &params, replications, seed);
-    ValidationCell {
-        mtbf,
-        alpha,
-        model_waste: model_waste(protocol, &params),
-        simulated_waste: stats.mean_waste,
-        ci95: stats.ci95_waste,
-        mean_failures: stats.mean_failures,
-    }
-}
-
-/// Evaluates a full `(MTBF, α)` grid for one protocol — one panel of
-/// Figure 7.
-pub fn validation_grid(
-    protocol: Protocol,
-    base: &ModelParams,
-    mtbfs: &[f64],
-    alphas: &[f64],
-    replications: usize,
-    seed: u64,
-) -> Vec<ValidationCell> {
-    let mut cells = Vec::with_capacity(mtbfs.len() * alphas.len());
-    for (i, &mtbf) in mtbfs.iter().enumerate() {
-        for (j, &alpha) in alphas.iter().enumerate() {
-            let cell_seed = seed
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add((i * alphas.len() + j) as u64);
-            cells.push(validate_point(
-                protocol,
-                base,
-                mtbf,
-                alpha,
-                replications,
-                cell_seed,
-            ));
-        }
-    }
-    cells
-}
-
-/// The MTBF axis of Figure 7: 60 to 240 minutes.
-pub fn figure7_mtbf_axis(points: usize) -> Vec<f64> {
-    let points = points.max(2);
-    (0..points)
-        .map(|i| {
-            ft_platform::units::minutes(60.0)
-                + i as f64 * (ft_platform::units::minutes(240.0) - ft_platform::units::minutes(60.0))
-                    / (points - 1) as f64
-        })
-        .collect()
-}
-
-/// The α axis of Figure 7: 0 to 1.
-pub fn figure7_alpha_axis(points: usize) -> Vec<f64> {
-    let points = points.max(2);
-    (0..points).map(|i| i as f64 / (points - 1) as f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ft_platform::units::minutes;
 
-    fn base() -> ModelParams {
-        ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap()
-    }
-
-    #[test]
-    fn axes_cover_the_paper_ranges() {
-        let mtbfs = figure7_mtbf_axis(7);
-        assert_eq!(mtbfs.len(), 7);
-        assert!((mtbfs[0] - minutes(60.0)).abs() < 1e-9);
-        assert!((mtbfs[6] - minutes(240.0)).abs() < 1e-9);
-        let alphas = figure7_alpha_axis(6);
-        assert_eq!(alphas[0], 0.0);
-        assert_eq!(alphas[5], 1.0);
-    }
-
-    #[test]
-    fn model_and_simulation_agree_within_the_papers_tolerance() {
-        // §V-A: the difference is at most ~12% at the smallest MTBF and below
-        // 5% as soon as the MTBF is reasonable. Use a coarse grid and a
-        // moderate number of replications to keep the test fast.
-        for protocol in Protocol::all() {
-            for &(mtbf_min, tolerance) in &[(60.0, 0.13), (240.0, 0.06)] {
-                let cell = validate_point(protocol, &base(), minutes(mtbf_min), 0.6, 200, 17);
-                assert!(
-                    cell.difference().abs() <= tolerance,
-                    "{protocol:?} at MTBF {mtbf_min} min: model {} vs sim {} (diff {})",
-                    cell.model_waste,
-                    cell.simulated_waste,
-                    cell.difference()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn worst_case_gap_at_small_mtbf_stays_within_the_papers_envelope() {
-        // §V-A reports a worst-case model/simulation gap of ~12% at the
-        // smallest MTBF (the first-order formula is least accurate there).
-        // Our simulator reproduces a gap of the same magnitude (see
-        // EXPERIMENTS.md for the sign discussion).
-        let cell = validate_point(
-            Protocol::PurePeriodicCkpt,
-            &base(),
-            minutes(60.0),
-            0.5,
-            300,
-            23,
-        );
-        assert!(
-            cell.difference().abs() <= 0.13,
-            "model/simulation gap too large at small MTBF: {}",
-            cell.difference()
-        );
-        // The gap shrinks when failures become rarer.
-        let calm = validate_point(
-            Protocol::PurePeriodicCkpt,
-            &base(),
-            minutes(240.0),
-            0.5,
-            300,
-            23,
-        );
-        assert!(calm.difference().abs() < cell.difference().abs());
-    }
-
     #[test]
     fn model_waste_with_first_order_matches_the_historical_entry_point() {
         use ft_composite::model::analytic::{FirstOrderExponential, WeibullCorrected};
-        let params = base();
+        let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
         for protocol in Protocol::all() {
             assert_eq!(
                 model_waste_with(&FirstOrderExponential, protocol, &params).to_bits(),
@@ -230,23 +70,6 @@ mod tests {
                 bursty < model_waste(protocol, &params),
                 "{protocol:?}: {bursty}"
             );
-        }
-    }
-
-    #[test]
-    fn grid_has_one_cell_per_point() {
-        let cells = validation_grid(
-            Protocol::AbftPeriodicCkpt,
-            &base(),
-            &[minutes(90.0), minutes(180.0)],
-            &[0.2, 0.8],
-            30,
-            5,
-        );
-        assert_eq!(cells.len(), 4);
-        for cell in cells {
-            assert!(cell.model_waste >= 0.0 && cell.model_waste < 1.0);
-            assert!(cell.simulated_waste >= 0.0 && cell.simulated_waste < 1.0);
         }
     }
 }

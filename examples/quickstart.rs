@@ -7,7 +7,11 @@
 
 use abft_ckpt_composite::composite::model;
 use abft_ckpt_composite::composite::params::ModelParams;
-use abft_ckpt_composite::sim::replicate::replicate_all;
+use abft_ckpt_composite::composite::scenario::ApplicationProfile;
+use abft_ckpt_composite::sim::{
+    accumulate_paired_programs_batch, BatchProgram, Engine, Protocol, ReplicationBudget, SimStats,
+    DEFAULT_BATCH_LANES,
+};
 use ft_platform::units::{format_duration, minutes, weeks};
 
 fn main() {
@@ -41,8 +45,25 @@ fn main() {
     println!("  BiPeriodicCkpt     waste = {:>6.2} %", model_bi.percent());
     println!("  ABFT&PeriodicCkpt  waste = {:>6.2} %", model_abft.percent());
 
-    println!("\nSimulation (500 replications each):");
-    for stats in replicate_all(&params, 500, 2024) {
+    // One paired run: every replication replays the same failure sequence
+    // to all three protocols (common random numbers), on every core.
+    let engine = Engine::new(&params);
+    let profile = ApplicationProfile::from_params(&params);
+    let protocols = Protocol::all();
+    let programs = protocols.map(|p| BatchProgram::compile(p, &profile, engine.plan()));
+    let paired = accumulate_paired_programs_batch(
+        &engine,
+        &protocols,
+        &programs.each_ref(),
+        ReplicationBudget::Fixed(500),
+        2024,
+        DEFAULT_BATCH_LANES,
+        0,
+    );
+
+    println!("\nSimulation (500 replications each, on shared failure traces):");
+    for (&protocol, acc) in protocols.iter().zip(&paired.outcomes) {
+        let stats = SimStats::from_accumulator(protocol, acc);
         println!(
             "  {:<18} waste = {:>6.2} % (+/- {:.2}), {:.1} failures per run",
             stats.protocol.name(),
@@ -51,6 +72,14 @@ fn main() {
             stats.mean_failures
         );
     }
+    let gain = paired
+        .delta(Protocol::AbftPeriodicCkpt)
+        .expect("composite is not the baseline");
+    println!(
+        "  composite - pure, paired per trace: {:+.2} % (+/- {:.2})",
+        gain.mean() * 100.0,
+        gain.ci95_half_width() * 100.0
+    );
 
     println!("\nThe composite protocol keeps the platform busy: it disables periodic");
     println!("checkpoints during the ABFT-protected library call and recovers library");

@@ -4,8 +4,8 @@
 //! * `Adaptive` never exceeds its `max`, never stops before its `min`, and
 //!   meets the requested relative precision whenever it stops early;
 //! * `Fixed(n)` reproduces the historical replication loop — seeds from
-//!   `derive_seeds`, one fresh `Engine::simulate` per seed — bit for bit
-//!   (the pinned-seed engine regression guards the executors themselves);
+//!   `derive_seeds`, one fresh simulation per seed — bit for bit (the
+//!   pinned-seed engine regression guards the executors themselves);
 //! * pairing protocols on shared failure traces never widens the confidence
 //!   interval of the waste difference relative to independent runs.
 
@@ -14,10 +14,12 @@ use abft_ckpt_composite::composite::scenario::ApplicationProfile;
 use abft_ckpt_composite::platform::rng::derive_seeds;
 use abft_ckpt_composite::platform::units::{hours, minutes};
 use abft_ckpt_composite::sim::{
-    accumulate_budget, accumulate_paired, stats::OutcomeAccumulator, Engine, Protocol,
-    ReplicationBudget,
+    accumulate_paired_engine, stats::OutcomeAccumulator, Engine, Protocol, ReplicationBudget,
 };
 use proptest::prelude::*;
+
+mod common;
+use common::replicate_point;
 
 /// Parameter points around the paper's Figure-7 study, varied enough to
 /// exercise calm and failure-heavy regimes.
@@ -50,7 +52,7 @@ proptest! {
         rel in 0.01f64..0.20,
     ) {
         let budget = ReplicationBudget::Adaptive { rel_precision: rel, min: 30, max: 400 };
-        let acc = accumulate_budget(protocol, &params, budget, seed);
+        let acc = replicate_point(protocol, &params, budget, seed);
         let n = acc.count();
         prop_assert!(n >= 30, "stopped below min: {n}");
         prop_assert!(n <= 400, "exceeded max: {n}");
@@ -78,11 +80,12 @@ proptest! {
         // The PR 2 replication loop, reconstructed from public API: derive
         // the seed vector, simulate each replication on a fresh clock.
         let engine = Engine::new(&params);
+        let profile = ApplicationProfile::from_params(&params);
         let mut expected = OutcomeAccumulator::new();
         for s in derive_seeds(seed, n) {
-            expected.push(&engine.simulate(protocol, s));
+            expected.push(&engine.simulate_profile(protocol, &profile, s));
         }
-        let got = accumulate_budget(protocol, &params, ReplicationBudget::Fixed(n), seed);
+        let got = replicate_point(protocol, &params, ReplicationBudget::Fixed(n), seed);
         // OutcomeAccumulator compares its Welford moments exactly: equality
         // here means every simulated outcome matched to the last bit.
         prop_assert_eq!(got, expected);
@@ -95,9 +98,9 @@ proptest! {
     ) {
         let profile = ApplicationProfile::from_params(&params);
         let protocols = [Protocol::PurePeriodicCkpt, Protocol::AbftPeriodicCkpt];
-        let paired = accumulate_paired(
+        let paired = accumulate_paired_engine(
+            &Engine::new(&params),
             &protocols,
-            &params,
             &profile,
             ReplicationBudget::Fixed(60),
             seed,
@@ -134,8 +137,8 @@ fn adaptive_spends_replications_where_the_relative_noise_is() {
         min: 50,
         max: 5_000,
     };
-    let calm_n = accumulate_budget(Protocol::PurePeriodicCkpt, &calm, budget, 7).count();
-    let stormy_n = accumulate_budget(Protocol::PurePeriodicCkpt, &stormy, budget, 7).count();
+    let calm_n = replicate_point(Protocol::PurePeriodicCkpt, &calm, budget, 7).count();
+    let stormy_n = replicate_point(Protocol::PurePeriodicCkpt, &stormy, budget, 7).count();
     assert!(
         stormy_n < calm_n,
         "stormy point used {stormy_n} replications, calm point {calm_n}"

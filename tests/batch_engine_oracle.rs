@@ -10,7 +10,7 @@
 //!
 //! The driver-level tests additionally pin the replication accumulators:
 //! feeding the adaptive budgets in batch-sized blocks must leave the
-//! Welford state bit-identical to the scalar `drive` loop, so the sweep
+//! Welford state bit-identical to the scalar reference driver, so the sweep
 //! fast path can switch engines freely without perturbing a single figure.
 
 use abft_ckpt_composite::composite::params::ModelParams;
@@ -21,15 +21,17 @@ use abft_ckpt_composite::platform::rng::SeedStream;
 use abft_ckpt_composite::platform::scenario::ScenarioSpec;
 use abft_ckpt_composite::platform::units::{hours, minutes};
 use abft_ckpt_composite::sim::batch::{
-    accumulate_paired_engine_batch, accumulate_paired_programs_batch,
-    accumulate_profile_engine_batch, accumulate_profile_program_batch, simulate_profile_batch,
-    simulate_profile_batch_antithetic, simulate_profile_batch_replay, BatchProgram,
+    accumulate_paired_programs_batch, accumulate_profile_program_batch, simulate_profile_batch,
+    BatchProgram,
 };
 use abft_ckpt_composite::sim::replicate::{
-    accumulate_paired_engine, accumulate_profile_engine, ReplicationBudget, ReplicationPlan,
+    accumulate_paired_engine, PairedAccumulator, ReplicationBudget, ReplicationPlan,
 };
 use abft_ckpt_composite::sim::{Engine, Protocol, SimOutcome};
 use proptest::prelude::*;
+
+mod common;
+use common::{batch_single, partner_streams, scalar_single, streams};
 
 /// Asserts two outcomes are bit-identical in every field, with a labelled
 /// panic message on mismatch.
@@ -95,6 +97,24 @@ fn arb_point() -> impl Strategy<Value = (ModelParams, ApplicationProfile)> {
         )
 }
 
+
+/// The serial batch driver over freshly compiled `protocols`.
+fn batch_paired(
+    engine: &Engine,
+    protocols: &[Protocol],
+    profile: &ApplicationProfile,
+    plan: ReplicationPlan,
+    master: u64,
+    lanes: usize,
+) -> PairedAccumulator {
+    let programs: Vec<BatchProgram> = protocols
+        .iter()
+        .map(|&p| BatchProgram::compile(p, profile, engine.plan()))
+        .collect();
+    let refs: Vec<&BatchProgram> = programs.iter().collect();
+    accumulate_paired_programs_batch(engine, protocols, &refs, plan, master, lanes, 1)
+}
+
 fn lane_seeds(master: u64, width: usize) -> Vec<u64> {
     SeedStream::new(master).take(width).collect()
 }
@@ -114,7 +134,12 @@ proptest! {
         let engine = Engine::with_failure_spec(&params, spec).unwrap();
         let seeds = lane_seeds(master, width);
         for protocol in Protocol::all() {
-            let batch = simulate_profile_batch(&engine, protocol, &profile, &seeds);
+            let batch = simulate_profile_batch(
+                &engine,
+                protocol,
+                &profile,
+                &mut streams(&engine, &seeds),
+            );
             prop_assert_eq!(batch.len(), width);
             for (lane, &seed) in seeds.iter().enumerate() {
                 let scalar = engine.simulate_profile(protocol, &profile, seed);
@@ -142,8 +167,18 @@ proptest! {
         let mut batch_buffer = BatchTraceBuffer::new(*engine.failure_model(), &seeds);
         let mut scalar_buffer = engine.trace_buffer(0);
         for protocol in Protocol::all() {
-            let first = simulate_profile_batch_replay(&engine, protocol, &profile, &mut batch_buffer);
-            let second = simulate_profile_batch_replay(&engine, protocol, &profile, &mut batch_buffer);
+            let first = simulate_profile_batch(
+                &engine,
+                protocol,
+                &profile,
+                &mut batch_buffer.cursors(),
+            );
+            let second = simulate_profile_batch(
+                &engine,
+                protocol,
+                &profile,
+                &mut batch_buffer.cursors(),
+            );
             prop_assert_eq!(&first, &second);
             for (lane, &seed) in seeds.iter().enumerate() {
                 scalar_buffer.reset(seed);
@@ -170,7 +205,12 @@ proptest! {
         let seeds = lane_seeds(master, width);
         let mut scalar_buffer = engine.trace_buffer(0);
         for protocol in Protocol::all() {
-            let batch = simulate_profile_batch_antithetic(&engine, protocol, &profile, &seeds);
+            let batch = simulate_profile_batch(
+                &engine,
+                protocol,
+                &profile,
+                &mut partner_streams(&engine, &seeds),
+            );
             for (lane, &seed) in seeds.iter().enumerate() {
                 scalar_buffer.reset_antithetic(seed);
                 let scalar = engine.simulate_profile_replay(protocol, &profile, &mut scalar_buffer);
@@ -200,9 +240,9 @@ proptest! {
         let plan =
             ReplicationPlan::new(ReplicationBudget::Fixed(total)).antithetic(antithetic_bit == 1);
         for protocol in Protocol::all() {
-            let scalar = accumulate_profile_engine(&engine, protocol, &profile, plan, master);
+            let scalar = scalar_single(&engine, protocol, &profile, plan, master);
             let batch =
-                accumulate_profile_engine_batch(&engine, protocol, &profile, plan, master, lanes);
+                batch_single(&engine, protocol, &profile, plan, master, lanes);
             assert_eq!(scalar, batch, "{spec} {protocol:?} lanes {lanes}");
         }
     }
@@ -248,11 +288,20 @@ proptest! {
         let mut scalar_buffer = engine.trace_buffer(0);
         let name = model.name();
         for protocol in Protocol::all() {
-            let fresh = simulate_profile_batch(&engine, protocol, &profile, &seeds);
+            let fresh = simulate_profile_batch(
+                &engine,
+                protocol,
+                &profile,
+                &mut streams(&engine, &seeds),
+            );
             let replayed =
-                simulate_profile_batch_replay(&engine, protocol, &profile, &mut batch_buffer);
-            let antithetic =
-                simulate_profile_batch_antithetic(&engine, protocol, &profile, &seeds);
+                simulate_profile_batch(&engine, protocol, &profile, &mut batch_buffer.cursors());
+            let antithetic = simulate_profile_batch(
+                &engine,
+                protocol,
+                &profile,
+                &mut partner_streams(&engine, &seeds),
+            );
             prop_assert_eq!(fresh.len(), width);
             for (lane, &seed) in seeds.iter().enumerate() {
                 let scalar = engine.simulate_profile(protocol, &profile, seed);
@@ -297,9 +346,9 @@ proptest! {
         let plan =
             ReplicationPlan::new(ReplicationBudget::Fixed(total)).antithetic(antithetic_bit == 1);
         for protocol in Protocol::all() {
-            let scalar = accumulate_profile_engine(&engine, protocol, &profile, plan, master);
+            let scalar = scalar_single(&engine, protocol, &profile, plan, master);
             let batch =
-                accumulate_profile_engine_batch(&engine, protocol, &profile, plan, master, lanes);
+                batch_single(&engine, protocol, &profile, plan, master, lanes);
             assert_eq!(scalar, batch, "{} {protocol:?} lanes {lanes}", model.name());
         }
     }
@@ -327,7 +376,12 @@ fn scenario_production_widths_are_bit_exact() {
         for width in [128usize, 193, 256] {
             let seeds = lane_seeds(0x5CE_0DD5 ^ width as u64, width);
             for protocol in Protocol::all() {
-                let batch = simulate_profile_batch(&engine, protocol, &profile, &seeds);
+                let batch = simulate_profile_batch(
+                    &engine,
+                    protocol,
+                    &profile,
+                    &mut streams(&engine, &seeds),
+                );
                 for (lane, &seed) in seeds.iter().enumerate() {
                     let scalar = engine.simulate_profile(protocol, &profile, seed);
                     assert_bit_identical(
@@ -357,7 +411,12 @@ fn production_widths_are_bit_exact() {
         for width in [128usize, 193, 256] {
             let seeds = lane_seeds(0xFAB5_EED5 ^ width as u64, width);
             for protocol in Protocol::all() {
-                let batch = simulate_profile_batch(&engine, protocol, &profile, &seeds);
+                let batch = simulate_profile_batch(
+                    &engine,
+                    protocol,
+                    &profile,
+                    &mut streams(&engine, &seeds),
+                );
                 for (lane, &seed) in seeds.iter().enumerate() {
                     let scalar = engine.simulate_profile(protocol, &profile, seed);
                     assert_bit_identical(
@@ -386,9 +445,9 @@ fn adaptive_stopping_is_width_invariant() {
     for antithetic in [false, true] {
         let plan = ReplicationPlan::new(budget).antithetic(antithetic);
         let scalar =
-            accumulate_profile_engine(&engine, Protocol::AbftPeriodicCkpt, &profile, plan, 11);
+            scalar_single(&engine, Protocol::AbftPeriodicCkpt, &profile, plan, 11);
         for lanes in [1usize, 33, 128, 256, 1024] {
-            let batch = accumulate_profile_engine_batch(
+            let batch = batch_single(
                 &engine,
                 Protocol::AbftPeriodicCkpt,
                 &profile,
@@ -416,7 +475,12 @@ fn dense_failure_grids_exercise_the_compacted_slow_path_bit_exactly() {
         for width in [1usize, 37, 64] {
             let seeds = lane_seeds(0xDE5E ^ width as u64, width);
             for protocol in Protocol::all() {
-                let batch = simulate_profile_batch(&engine, protocol, &profile, &seeds);
+                let batch = simulate_profile_batch(
+                    &engine,
+                    protocol,
+                    &profile,
+                    &mut streams(&engine, &seeds),
+                );
                 let mut total_failures = 0usize;
                 for (lane, &seed) in seeds.iter().enumerate() {
                     let scalar = engine.simulate_profile(protocol, &profile, seed);
@@ -458,7 +522,7 @@ fn parallel_program_driver_matches_the_scalar_oracle() {
     ] {
         for antithetic in [false, true] {
             let plan = ReplicationPlan::new(budget).antithetic(antithetic);
-            let scalar = accumulate_profile_engine(
+            let scalar = scalar_single(
                 &engine,
                 Protocol::AbftPeriodicCkpt,
                 &profile,
@@ -544,7 +608,7 @@ fn paired_accumulation_is_bit_identical_under_batching() {
                 let plan = ReplicationPlan::new(budget).antithetic(antithetic);
                 let scalar = accumulate_paired_engine(&engine, &protocols, &profile, plan, 29);
                 for lanes in [1usize, 50, 128] {
-                    let batch = accumulate_paired_engine_batch(
+                    let batch = batch_paired(
                         &engine, &protocols, &profile, plan, 29, lanes,
                     );
                     assert_eq!(

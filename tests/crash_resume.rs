@@ -351,6 +351,60 @@ fn resume_rejects_progress_of_the_wrong_step_kind() {
     );
 }
 
+#[test]
+fn resume_rejects_abft_progress_that_is_not_finite_or_out_of_range() {
+    let engine = Engine::new(&params());
+    let profile = ApplicationProfile::from_params_repeated(engine.params(), 2);
+    let (sim, snapshot) = composite_snapshot(&engine, &profile);
+    let (step, work) = sim
+        .steps()
+        .iter()
+        .enumerate()
+        .find_map(|(i, s)| match *s {
+            Step::AbftWork { work } => Some((i, work)),
+            _ => None,
+        })
+        .expect("a composite program has ABFT work");
+    let mut buffer = engine.trace_buffer(5);
+    let at = |done: f64| SimSnapshot {
+        step,
+        within: WithinStep::AbftDone(done.to_bits()),
+        ..snapshot
+    };
+    // Both ends of the step's work are real positions.
+    assert!(sim.resume(&mut buffer, &at(0.0)).is_ok());
+    assert!(sim.resume(&mut buffer, &at(work)).is_ok());
+    for done in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, work * 2.0] {
+        let within = WithinStep::AbftDone(done.to_bits());
+        assert_eq!(
+            sim.resume(&mut buffer, &at(done)),
+            Err(ResumeError::WithinMismatch { step, within }),
+            "progress {done}"
+        );
+    }
+}
+
+#[test]
+fn resume_rejects_a_failure_count_that_overflows_the_cursor() {
+    let engine = Engine::new(&params());
+    let profile = ApplicationProfile::from_params_repeated(engine.params(), 2);
+    let (sim, snapshot) = composite_snapshot(&engine, &profile);
+    let mut buffer = engine.trace_buffer(5);
+    // `failures + 1` draws: a count of u64::MAX has no cursor position on
+    // any host (and, on hosts with a 32-bit usize, nor does any count past
+    // usize::MAX).
+    let corrupt = SimSnapshot {
+        failures: u64::MAX,
+        ..snapshot
+    };
+    assert_eq!(
+        sim.resume(&mut buffer, &corrupt),
+        Err(ResumeError::FailureCountOverflow { failures: u64::MAX })
+    );
+    let message = ResumeError::FailureCountOverflow { failures: u64::MAX }.to_string();
+    assert!(message.contains("18446744073709551615"), "{message}");
+}
+
 /// A 42-byte record of the unversioned format that counted checkpointed
 /// streams, not program steps: `PurePeriodicCkpt`, stream 1, 500 s saved,
 /// clock at 1000 s with the next failure at 1100 s, 2 failures.

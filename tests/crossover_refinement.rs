@@ -24,9 +24,12 @@ use abft_ckpt_composite::platform::failure::{
 use abft_ckpt_composite::platform::trace::TraceBuffer;
 use abft_ckpt_composite::platform::units::hours;
 use abft_ckpt_composite::sim::{
-    accumulate_paired, accumulate_profile_engine, Engine, Protocol, ReplicationBudget,
+    accumulate_paired_engine, Engine, Protocol, ReplicationBudget, DEFAULT_BATCH_LANES,
 };
 use proptest::prelude::*;
+
+mod common;
+use common::batch_single;
 
 /// Parameter points around the paper's Figure-7 study.
 fn arb_params() -> impl Strategy<Value = ModelParams> {
@@ -48,16 +51,17 @@ proptest! {
         // Identical seed stream → identical traces: the only difference is
         // the stopping rule, and AdaptiveDelta ORs the marginal rule with
         // the delta-resolution rule, so it can never run longer.
+        let engine = Engine::new(&params);
         let profile = ApplicationProfile::from_params(&params);
         let protocols = [Protocol::PurePeriodicCkpt, Protocol::AbftPeriodicCkpt];
         let (min, max) = (30, 600);
-        let delta = accumulate_paired(
-            &protocols, &params, &profile,
+        let delta = accumulate_paired_engine(
+            &engine, &protocols, &profile,
             ReplicationBudget::AdaptiveDelta { rel_precision: rel, min, max },
             seed,
         );
-        let marginal = accumulate_paired(
-            &protocols, &params, &profile,
+        let marginal = accumulate_paired_engine(
+            &engine, &protocols, &profile,
             ReplicationBudget::Adaptive { rel_precision: rel, min, max },
             seed,
         );
@@ -81,13 +85,14 @@ proptest! {
         seed in 0u64..1_000,
         n in 5usize..30,
     ) {
-        // `Fixed` pairing replays the shared buffer through the same engine
-        // path as unpaired accumulation: marginals must match bit for bit,
-        // under the exponential *and* the Weibull clock.
+        // `Fixed` pairing replays the shared buffer to every protocol, so
+        // each marginal must match the protocol's unpaired accumulation
+        // (its own program on the batch driver) bit for bit, under the
+        // exponential *and* the Weibull clock.
         let profile = ApplicationProfile::from_params(&params);
         for spec in [FailureSpec::Exponential, FailureSpec::Weibull { shape: 0.7 }] {
             let engine = Engine::with_failure_spec(&params, spec).unwrap();
-            let paired = abft_ckpt_composite::sim::accumulate_paired_engine(
+            let paired = accumulate_paired_engine(
                 &engine,
                 &Protocol::all(),
                 &profile,
@@ -95,9 +100,9 @@ proptest! {
                 seed,
             );
             for (i, &protocol) in Protocol::all().iter().enumerate() {
-                let unpaired = accumulate_profile_engine(
-                    &engine, protocol, &profile, ReplicationBudget::Fixed(n), seed,
-                );
+                let fixed = ReplicationBudget::Fixed(n);
+                let unpaired =
+                    batch_single(&engine, protocol, &profile, fixed, seed, DEFAULT_BATCH_LANES);
                 prop_assert_eq!(&paired.outcomes[i], &unpaired);
             }
         }

@@ -225,12 +225,17 @@ fn multi_epoch_zero_failure_time_is_work_plus_deterministic_checkpoints() {
 
 use abft_ckpt_composite::platform::failure::{AnyFailureModel, FailureSpec};
 use abft_ckpt_composite::platform::scenario::ScenarioSpec;
-use abft_ckpt_composite::sim::batch::{accumulate_paired_engine_batch, simulate_profile_batch};
+use abft_ckpt_composite::sim::batch::{
+    accumulate_paired_programs_batch, simulate_profile_batch, BatchProgram,
+};
 use abft_ckpt_composite::sim::replicate::{
     accumulate_paired_engine, PairedAccumulator, ReplicationBudget, ReplicationPlan,
 };
 use abft_ckpt_composite::sim::resume::ResumableSim;
 use abft_ckpt_composite::sim::{OutcomeAccumulator, Welford};
+
+mod common;
+use common::{batch_single, scalar_single, streams};
 
 const PIN_SEEDS: [u64; 3] = [1, 7, 42];
 
@@ -371,7 +376,8 @@ fn multi_epoch_profiles_reproduce_their_pins_under_every_failure_source() {
         assert!(profile.epochs()[1].general < plan.full_period, "{name}");
         let mut failures = 0;
         for protocol in Protocol::all() {
-            let batch = simulate_profile_batch(&engine, protocol, &profile, &PIN_SEEDS);
+            let mut stream = streams(&engine, &PIN_SEEDS);
+            let batch = simulate_profile_batch(&engine, protocol, &profile, &mut stream);
             for (lane, &seed) in PIN_SEEDS.iter().enumerate() {
                 let out = engine.simulate_profile(protocol, &profile, seed);
                 assert_eq!(batch[lane], out, "{name}/{protocol:?}/seed {seed}: batch lane");
@@ -485,18 +491,90 @@ fn paired_accumulators_reproduce_their_pins_plain_and_antithetic() {
     let engines = pin_engines();
     let mut actual = Vec::new();
     for (name, engine) in engines.iter().filter(|(n, _)| ["exponential", "weibull0.7"].contains(n)) {
+        let programs = Protocol::all().map(|p| BatchProgram::compile(p, &profile, engine.plan()));
+        let programs = programs.each_ref();
         for antithetic in [false, true] {
             let plan = ReplicationPlan::new(ReplicationBudget::Fixed(48)).antithetic(antithetic);
             let label = format!("{name} antithetic={antithetic}");
             let acc = accumulate_paired_engine(engine, &Protocol::all(), &profile, plan, 2024);
             actual.extend(paired_rows(&label, &acc));
             for lanes in [1, 20, 64] {
-                let batch =
-                    accumulate_paired_engine_batch(engine, &Protocol::all(), &profile, plan, 2024, lanes);
+                let batch = accumulate_paired_programs_batch(
+                    engine,
+                    &Protocol::all(),
+                    &programs,
+                    plan,
+                    2024,
+                    lanes,
+                    1,
+                );
                 assert_eq!(batch, acc, "{label} lanes {lanes}");
             }
         }
     }
     let pinned: Vec<String> = PINNED_PAIRED.iter().map(|row| format!("    \"{row}\",")).collect();
     assert_rows("accumulate_paired_engine", &actual, &pinned);
+}
+
+/// Per-protocol accumulator fields (`count, mean bits, variance bits` of
+/// waste; final time; failures) of one protocol replicated alone over
+/// `pin_profile()`, seed 2024, under fixed, antithetic, adaptive and
+/// paired-delta plans.  Recorded from the dedicated single-protocol scalar
+/// driver before it was folded into the paired one, so the pins do not
+/// check the shared push sequence and stopping rule against themselves.
+const PINNED_SINGLE: &[&str] = &[
+    "exponential fixed(48) PurePeriodicCkpt 48, 0x3fda61af8b8b4708, 0x3f734ea5a671a547; 48, 0x40ee4bc9fa29de34, 0x41879cb7e2b2b05f; 48, 0x4021c00000000002, 0x402c90572620ae4b",
+    "exponential fixed(48) BiPeriodicCkpt 48, 0x3fda0b307f08c532, 0x3f705c869aed6e53; 48, 0x40edf6e677484a69, 0x4183aea34a0e4a7d; 48, 0x4021955555555556, 0x402b50cb58f6ec08",
+    "exponential fixed(48) AbftPeriodicCkpt 48, 0x3fd539ac1b0d1754, 0x3f7066054e466f98; 48, 0x40ea895c86f93235, 0x417a3e0cce649f52; 48, 0x401faaaaaaaaaaac, 0x4027d0cb58f6ec08",
+    "exponential fixed(48) x antithetic pairs PurePeriodicCkpt 48, 0x3fda7693aaebceae, 0x3f5de92fded717d6; 48, 0x40ee666b6fb180a0, 0x417498fce042b2ec; 48, 0x4021baaaaaaaaaab, 0x400c3bb01d0cb592",
+    "exponential fixed(48) x antithetic pairs BiPeriodicCkpt 48, 0x3fda0dc11abfc936, 0x3f5956abf9acf5e3; 48, 0x40ee0271db36ac9d, 0x4170332dbcd73443; 48, 0x40216ffffffffffe, 0x400a1ea3677d46cc",
+    "exponential fixed(48) x antithetic pairs AbftPeriodicCkpt 48, 0x3fd56f759f33760b, 0x3f54f32ae3853672; 48, 0x40eab24e0239948d, 0x4161fbac7e886b1f; 48, 0x401f6aaaaaaaaaa9, 0x4004979a538489fd",
+    "exponential adaptive(5.0% CI95, 100..10000 reps) PurePeriodicCkpt 100, 0x3fda5a9fe399f0d1, 0x3f72799f95473299; 100, 0x40ee449b47eb6eb6, 0x4187974cb59a41cb; 100, 0x4021947ae147ae15, 0x402e083918839189",
+    "exponential adaptive(5.0% CI95, 100..10000 reps) BiPeriodicCkpt 100, 0x3fda104c30c11a1b, 0x3f70d6979ba71ff8; 100, 0x40edff383f7d39d6, 0x4184cda03fcc5d92; 100, 0x402175c28f5c28f8, 0x402d011608116083",
+    "exponential adaptive(5.0% CI95, 100..10000 reps) AbftPeriodicCkpt 100, 0x3fd54d934d95fac6, 0x3f70a5c5273c6fe5; 100, 0x40ea980cd194feac, 0x417b625015427a51; 100, 0x401f147ae147ae19, 0x402899a6d6efc2c7",
+    "exponential paired-delta(5.0% CI95, 100..10000 reps) PurePeriodicCkpt 100, 0x3fda5a9fe399f0d1, 0x3f72799f95473299; 100, 0x40ee449b47eb6eb6, 0x4187974cb59a41cb; 100, 0x4021947ae147ae15, 0x402e083918839189",
+    "exponential paired-delta(5.0% CI95, 100..10000 reps) BiPeriodicCkpt 100, 0x3fda104c30c11a1b, 0x3f70d6979ba71ff8; 100, 0x40edff383f7d39d6, 0x4184cda03fcc5d92; 100, 0x402175c28f5c28f8, 0x402d011608116083",
+    "exponential paired-delta(5.0% CI95, 100..10000 reps) AbftPeriodicCkpt 100, 0x3fd54d934d95fac6, 0x3f70a5c5273c6fe5; 100, 0x40ea980cd194feac, 0x417b625015427a51; 100, 0x401f147ae147ae19, 0x402899a6d6efc2c7",
+    "weibull0.7 fixed(48) PurePeriodicCkpt 48, 0x3fda128ff9c27315, 0x3f784298d5bdcc3f; 48, 0x40ee2d0304624037, 0x4190a4172531af36; 48, 0x40246aaaaaaaaaac, 0x403bbe2f34a70916",
+    "weibull0.7 fixed(48) BiPeriodicCkpt 48, 0x3fda1aa422f35f41, 0x3f74697e8cc75e26; 48, 0x40ee1baa1cb7b9e5, 0x418a9646cf2f75e9; 48, 0x4024200000000000, 0x4039c310572620ae",
+    "weibull0.7 fixed(48) AbftPeriodicCkpt 48, 0x3fd5a3d76e30ae50, 0x3f7344658e372f0f; 48, 0x40ead856899abcd2, 0x418045f5b7821e6d; 48, 0x40217fffffffffff, 0x40347d46cefa8d9e",
+    "weibull0.7 fixed(48) x antithetic pairs PurePeriodicCkpt 48, 0x3fd99778fa34c417, 0x3f64b016c886a8de; 48, 0x40edc3ddcefef78b, 0x417a23ca0764292d; 48, 0x40236ffffffffffe, 0x401e09df51b3be9f",
+    "weibull0.7 fixed(48) x antithetic pairs BiPeriodicCkpt 48, 0x3fd9e216ce661494, 0x3f61a5b19957c3fe; 48, 0x40edeea7d980bbb8, 0x4175eeae026faecc; 48, 0x4023700000000000, 0x401c76cefa8d9df5",
+    "weibull0.7 fixed(48) x antithetic pairs AbftPeriodicCkpt 48, 0x3fd57bce1a0c7a38, 0x3f5bd907a6e9879b; 48, 0x40eacb85e88decdc, 0x4168d86011cb0ecc; 48, 0x40212fffffffffff, 0x4014ebea3677d46d",
+    "weibull0.7 adaptive(5.0% CI95, 100..10000 reps) PurePeriodicCkpt 100, 0x3fd97c54d0bbdbf8, 0x3f7bd49504b4dd50; 100, 0x40edc84222bc0b57, 0x41925660d7173580; 100, 0x4023333333333335, 0x403dd1745d1745d3",
+    "weibull0.7 adaptive(5.0% CI95, 100..10000 reps) BiPeriodicCkpt 100, 0x3fd991949697b6ed, 0x3f77f50ed3f89b66; 100, 0x40edc2f0c0c8294a, 0x418ecfac017db80a; 100, 0x40230f5c28f5c28d, 0x403bf8027b8027b5",
+    "weibull0.7 adaptive(5.0% CI95, 100..10000 reps) AbftPeriodicCkpt 100, 0x3fd53f8cc52e8214, 0x3f76655478fad081; 100, 0x40eaa6d2b0e0f309, 0x41834bcf14625ad7; 100, 0x40210a3d70a3d70a, 0x4036500ee500ee4f",
+    "weibull0.7 paired-delta(5.0% CI95, 100..10000 reps) PurePeriodicCkpt 100, 0x3fd97c54d0bbdbf8, 0x3f7bd49504b4dd50; 100, 0x40edc84222bc0b57, 0x41925660d7173580; 100, 0x4023333333333335, 0x403dd1745d1745d3",
+    "weibull0.7 paired-delta(5.0% CI95, 100..10000 reps) BiPeriodicCkpt 100, 0x3fd991949697b6ed, 0x3f77f50ed3f89b66; 100, 0x40edc2f0c0c8294a, 0x418ecfac017db80a; 100, 0x40230f5c28f5c28d, 0x403bf8027b8027b5",
+    "weibull0.7 paired-delta(5.0% CI95, 100..10000 reps) AbftPeriodicCkpt 100, 0x3fd53f8cc52e8214, 0x3f76655478fad081; 100, 0x40eaa6d2b0e0f309, 0x41834bcf14625ad7; 100, 0x40210a3d70a3d70a, 0x4036500ee500ee4f",
+];
+
+#[test]
+fn single_protocol_drivers_reproduce_their_pins() {
+    let profile = pin_profile();
+    let engines = pin_engines();
+    let plans = [
+        ReplicationPlan::new(ReplicationBudget::Fixed(48)),
+        ReplicationPlan::new(ReplicationBudget::Fixed(48)).antithetic(true),
+        ReplicationPlan::new(ReplicationBudget::adaptive(0.05)),
+        ReplicationPlan::new(ReplicationBudget::adaptive_delta(0.05)),
+    ];
+    let mut actual = Vec::new();
+    for (name, engine) in engines.iter().filter(|(n, _)| ["exponential", "weibull0.7"].contains(n)) {
+        for plan in plans {
+            for protocol in Protocol::all() {
+                let acc = scalar_single(engine, protocol, &profile, plan, 2024);
+                for lanes in [1, 64] {
+                    let batch = batch_single(engine, protocol, &profile, plan, 2024, lanes);
+                    assert_eq!(batch, acc, "{name} {plan} {protocol:?} lanes {lanes}");
+                }
+                actual.push(format!(
+                    "    \"{name} {plan} {protocol:?} {}\",",
+                    accumulator_row(&acc)
+                ));
+            }
+        }
+    }
+    let pinned: Vec<String> = PINNED_SINGLE.iter().map(|row| format!("    \"{row}\",")).collect();
+    assert_rows("single-protocol driver", &actual, &pinned);
 }

@@ -11,9 +11,17 @@
 
 use abft_ckpt_composite::composite::model;
 use abft_ckpt_composite::composite::params::ModelParams;
-use abft_ckpt_composite::sim::replicate::replicate;
-use abft_ckpt_composite::sim::Protocol;
+use abft_ckpt_composite::sim::{Protocol, ReplicationBudget};
 use ft_platform::units::{minutes, weeks};
+
+mod common;
+
+/// Mean simulated waste of `replications` executions of `protocol`.
+fn mean_waste(protocol: Protocol, params: &ModelParams, replications: usize, seed: u64) -> f64 {
+    common::replicate_point(protocol, params, ReplicationBudget::Fixed(replications), seed)
+        .waste
+        .mean()
+}
 
 #[test]
 fn alpha_zero_composite_equals_pure_in_model_and_simulation() {
@@ -22,8 +30,8 @@ fn alpha_zero_composite_equals_pure_in_model_and_simulation() {
     let model_comp = model::composite::waste(&params).unwrap().value();
     assert!((model_pure - model_comp).abs() < 1e-9);
 
-    let sim_pure = replicate(Protocol::PurePeriodicCkpt, &params, 300, 5).mean_waste;
-    let sim_comp = replicate(Protocol::AbftPeriodicCkpt, &params, 300, 5).mean_waste;
+    let sim_pure = mean_waste(Protocol::PurePeriodicCkpt, &params, 300, 5);
+    let sim_comp = mean_waste(Protocol::AbftPeriodicCkpt, &params, 300, 5);
     assert!(
         (sim_pure - sim_comp).abs() < 0.02,
         "simulated pure {sim_pure} vs composite {sim_comp}"
@@ -48,7 +56,7 @@ fn alpha_one_composite_waste_tends_to_the_abft_slowdown() {
     let phi_overhead = 1.0 - 1.0 / 1.03; // ~2.9 %
     let model = model::composite::waste(&params).unwrap().value();
     assert!((model - phi_overhead).abs() < 0.005, "model {model}");
-    let sim = replicate(Protocol::AbftPeriodicCkpt, &params, 100, 11).mean_waste;
+    let sim = mean_waste(Protocol::AbftPeriodicCkpt, &params, 100, 11);
     assert!((sim - phi_overhead).abs() < 0.01, "sim {sim}");
 }
 
@@ -56,9 +64,9 @@ fn alpha_one_composite_waste_tends_to_the_abft_slowdown() {
 fn at_half_library_time_the_composite_protocol_beats_both_alternatives() {
     for mtbf_minutes in [60.0, 120.0, 240.0] {
         let params = ModelParams::paper_figure7(0.5, minutes(mtbf_minutes)).unwrap();
-        let pure = replicate(Protocol::PurePeriodicCkpt, &params, 250, 1).mean_waste;
-        let bi = replicate(Protocol::BiPeriodicCkpt, &params, 250, 1).mean_waste;
-        let comp = replicate(Protocol::AbftPeriodicCkpt, &params, 250, 1).mean_waste;
+        let pure = mean_waste(Protocol::PurePeriodicCkpt, &params, 250, 1);
+        let bi = mean_waste(Protocol::BiPeriodicCkpt, &params, 250, 1);
+        let comp = mean_waste(Protocol::AbftPeriodicCkpt, &params, 250, 1);
         assert!(
             comp < pure && comp < bi,
             "MTBF {mtbf_minutes} min: composite {comp:.4} vs pure {pure:.4}, bi {bi:.4}"

@@ -28,15 +28,14 @@ use abft_ckpt_composite::platform::failure::{AnyFailureModel, FailureModel, Fail
 use abft_ckpt_composite::platform::rng::SeedStream;
 use abft_ckpt_composite::platform::scenario::ScenarioSpec;
 use abft_ckpt_composite::platform::units::{hours, minutes};
-use abft_ckpt_composite::sim::batch::{
-    accumulate_profile_engine_batch, simulate_profile_batch, simulate_profile_batch_antithetic,
-    simulate_profile_batch_replay,
-};
-use abft_ckpt_composite::sim::replicate::{
-    accumulate_profile_engine, ReplicationBudget, ReplicationPlan,
-};
+use abft_ckpt_composite::sim::batch::simulate_profile_batch;
+use abft_ckpt_composite::sim::replicate::{ReplicationBudget, ReplicationPlan};
 use abft_ckpt_composite::sim::resume::{ResumableSim, RunStatus};
 use abft_ckpt_composite::sim::{Engine, Protocol, SimOutcome};
+
+mod common;
+use common::{batch_single, partner_streams, scalar_single, streams};
+
 
 fn params() -> ModelParams {
     ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap()
@@ -184,11 +183,24 @@ fn batch_lanes_match_the_scalar_oracle_for_every_source() {
             let seeds: Vec<u64> = SeedStream::new(0x5CEA ^ width as u64).take(width).collect();
             let mut batch_buffer = BatchTraceBuffer::new(*engine.failure_model(), &seeds);
             for protocol in Protocol::all() {
-                let fresh = simulate_profile_batch(&engine, protocol, &profile, &seeds);
-                let replayed =
-                    simulate_profile_batch_replay(&engine, protocol, &profile, &mut batch_buffer);
-                let antithetic =
-                    simulate_profile_batch_antithetic(&engine, protocol, &profile, &seeds);
+                let fresh = simulate_profile_batch(
+                    &engine,
+                    protocol,
+                    &profile,
+                    &mut streams(&engine, &seeds),
+                );
+                let replayed = simulate_profile_batch(
+                    &engine,
+                    protocol,
+                    &profile,
+                    &mut batch_buffer.cursors(),
+                );
+                let antithetic = simulate_profile_batch(
+                    &engine,
+                    protocol,
+                    &profile,
+                    &mut partner_streams(&engine, &seeds),
+                );
                 for (lane, &seed) in seeds.iter().enumerate() {
                     let scalar = engine.simulate_profile(protocol, &profile, seed);
                     assert_bit_identical(
@@ -230,9 +242,9 @@ fn replication_accumulators_are_width_invariant() {
         for antithetic in [false, true] {
             let plan = ReplicationPlan::new(ReplicationBudget::Fixed(60)).antithetic(antithetic);
             let scalar =
-                accumulate_profile_engine(&engine, Protocol::AbftPeriodicCkpt, &profile, plan, 7);
+                scalar_single(&engine, Protocol::AbftPeriodicCkpt, &profile, plan, 7);
             for lanes in [1usize, 33, 256] {
-                let batch = accumulate_profile_engine_batch(
+                let batch = batch_single(
                     &engine,
                     Protocol::AbftPeriodicCkpt,
                     &profile,
