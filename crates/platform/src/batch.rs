@@ -72,13 +72,36 @@ pub trait BatchFailureSource {
 /// [`crate::trace::TraceBuffer::reset_antithetic`] replay of `seeds[i]`
 /// yields.  [`BatchFailureStream::reset`] keeps the lane allocations, so a
 /// sweep point reuses one stream across all its replication blocks.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BatchFailureStream<M: FailureModel> {
     model: M,
     rngs: Vec<Xoshiro256>,
     now: Vec<f64>,
     states: Vec<SourceState>,
     antithetic: bool,
+}
+
+impl<M: FailureModel + Clone> Clone for BatchFailureStream<M> {
+    fn clone(&self) -> Self {
+        Self {
+            model: self.model.clone(),
+            rngs: self.rngs.clone(),
+            now: self.now.clone(),
+            states: self.states.clone(),
+            antithetic: self.antithetic,
+        }
+    }
+
+    /// Copies every lane's generator, time and [`SourceState`] into this
+    /// stream's existing allocations: a fork of the stream mid-sequence,
+    /// restorable without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.model.clone_from(&source.model);
+        self.rngs.clone_from(&source.rngs);
+        self.now.clone_from(&source.now);
+        self.states.clone_from(&source.states);
+        self.antithetic = source.antithetic;
+    }
 }
 
 impl<M: FailureModel> BatchFailureStream<M> {

@@ -66,6 +66,7 @@
 //! `--batch-lanes` width including 1.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use ft_composite::scenario::ApplicationProfile;
@@ -136,6 +137,14 @@ impl BatchState {
         self.next_failure.resize(lanes, 0.0);
         source.fill_next_failures(lanes, &mut self.next_failure);
         self.interrupted.clear();
+    }
+
+    /// Overwrites every lane's clock with `snapshot`'s, reusing this state's
+    /// allocations (the worklist is per-step scratch and is not copied).
+    fn restore(&mut self, snapshot: &Self) {
+        self.now.clone_from(&snapshot.now);
+        self.next_failure.clone_from(&snapshot.next_failure);
+        self.failures.clone_from(&snapshot.failures);
     }
 }
 
@@ -240,6 +249,14 @@ impl BatchProgram {
     /// Runs every lane of `source` through the whole program in lockstep.
     /// `state` is reset to the source's lane count first; read per-lane
     /// results with [`BatchProgram::outcome`] afterwards.
+    pub fn run<S: BatchFailureSource>(&self, source: &mut S, state: &mut BatchState) {
+        state.reset(source);
+        self.run_steps(source, state, 0..self.steps.len());
+    }
+
+    /// Advances every lane of `state` through `steps` of the program — the
+    /// one step loop, which [`BatchProgram::run`] enters at step 0 and the
+    /// paired driver also enters at the end of a shared prefix.
     ///
     /// Each step first sweeps all lanes through a branch-free fast pass —
     /// two adds, a compare, and a select per lane over contiguous arrays —
@@ -247,10 +264,14 @@ impl BatchProgram {
     /// the rest into a dense worklist of lane indices.  Only the worklist
     /// lanes take the slow path, `Step::run` on a [`SimClock`] over the
     /// lane — no re-scan of the committed lanes.
-    pub fn run<S: BatchFailureSource>(&self, source: &mut S, state: &mut BatchState) {
-        state.reset(source);
+    fn run_steps<S: BatchFailureSource>(
+        &self,
+        source: &mut S,
+        state: &mut BatchState,
+        steps: Range<usize>,
+    ) {
         let lanes = state.lanes();
-        for &step in &self.steps {
+        for &step in &self.steps[steps] {
             let (now, next_failure) = (&mut state.now[..lanes], &state.next_failure[..lanes]);
             match step {
                 Step::Period { work, ckpt } => {
@@ -343,20 +364,56 @@ impl ProgramKey {
                 .iter()
                 .map(|e| (e.general.to_bits(), e.library.to_bits()))
                 .collect(),
-            plan: [
-                plan.full_period.to_bits(),
-                plan.library_period.to_bits(),
-                plan.ckpt_full.to_bits(),
-                plan.ckpt_library.to_bits(),
-                plan.ckpt_remainder.to_bits(),
-                plan.recovery.to_bits(),
-                plan.recovery_remainder.to_bits(),
-                plan.downtime.to_bits(),
-                plan.phi.to_bits(),
-                plan.abft_reconstruction.to_bits(),
-            ],
+            plan: plan_bits(plan),
         }
     }
+}
+
+/// Every field of `plan` by bit pattern.
+fn plan_bits(plan: &PeriodPlan) -> [u64; 10] {
+    [
+        plan.full_period.to_bits(),
+        plan.library_period.to_bits(),
+        plan.ckpt_full.to_bits(),
+        plan.ckpt_library.to_bits(),
+        plan.ckpt_remainder.to_bits(),
+        plan.recovery.to_bits(),
+        plan.recovery_remainder.to_bits(),
+        plan.downtime.to_bits(),
+        plan.phi.to_bits(),
+        plan.abft_reconstruction.to_bits(),
+    ]
+}
+
+/// A step's kind and every cost field by bit pattern: `Step`'s derived
+/// `PartialEq` would equate `-0.0` with `0.0`.
+fn step_bits(step: Step) -> (u8, u64, u64) {
+    match step {
+        Step::Period { work, ckpt } => (0, work.to_bits(), ckpt.to_bits()),
+        Step::Forced { cost } => (1, cost.to_bits(), 0),
+        Step::AbftWork { work } => (2, work.to_bits(), 0),
+        Step::AbftCkpt { cost } => (3, cost.to_bits(), 0),
+    }
+}
+
+/// Length of the longest step prefix every program shares, bit for bit —
+/// `0` unless their plans (whose recovery costs the slow path reads) are
+/// bit-identical too.  Over the same per-lane failure sequences the
+/// programs drive every lane through the same states up to this step.
+fn shared_prefix(programs: &[&BatchProgram]) -> usize {
+    let Some((first, rest)) = programs.split_first() else {
+        return 0;
+    };
+    rest.iter().fold(first.len(), |prefix, program| {
+        if plan_bits(&program.plan) != plan_bits(&first.plan) {
+            return 0;
+        }
+        first.steps[..prefix]
+            .iter()
+            .zip(&program.steps)
+            .take_while(|&(&a, &b)| step_bits(a) == step_bits(b))
+            .count()
+    })
 }
 
 impl BatchProgramCache {
@@ -519,7 +576,9 @@ type PairedSegment = (Vec<Vec<SimOutcome>>, Vec<Vec<SimOutcome>>);
 /// deltas stream against the baseline, and the paired-delta / marginal
 /// stopping rules fire on the same block boundaries as the scalar
 /// reference [`crate::replicate::accumulate_paired_engine`] — the returned
-/// [`PairedAccumulator`] is bit-identical to it.
+/// [`PairedAccumulator`] is bit-identical to it.  The steps every program
+/// begins with (the shared GENERAL stream, say) run once per segment pass;
+/// the programs fork from that state.
 ///
 /// `threads == 0` resolves to the host's available parallelism; `threads <=
 /// 1` runs the serial driver.  The parallel driver splits replication blocks
@@ -585,27 +644,40 @@ fn drive_programs(
                 (0..width).for_each(|lane| acc.push_sample(|i| (firsts[i][lane], None)));
             }
         };
-    // Every program's stream restarts from the same segment seeds — the
-    // batch form of replaying one recorded trace per seed to all protocols.
+    // Every program replays the same segment seeds — the batch form of
+    // replaying one recorded trace per seed to all protocols — so each pass
+    // runs the programs' shared prefix once and forks there, into buffers
+    // reused across segments.  The fork is exact: each lane's failure
+    // sequence is a pure function of its seed and draw count, and the prefix
+    // makes the same draws for every program.
+    let prefix = shared_prefix(programs);
     let run_segment = |stream: &mut BatchFailureStream<_>,
                        state: &mut BatchState,
+                       fork: &mut (BatchFailureStream<_>, BatchState),
                        seeds: &[u64],
                        firsts: &mut [Vec<SimOutcome>],
                        partners: &mut [Vec<SimOutcome>]| {
-        let outcomes = |program: &BatchProgram, state: &BatchState, out: &mut Vec<SimOutcome>| {
-            out.clear();
-            out.extend((0..seeds.len()).map(|lane| program.outcome(state, lane)));
-        };
-        for (program, out) in programs.iter().zip(firsts.iter_mut()) {
-            stream.reset(seeds);
-            program.run(stream, state);
-            outcomes(program, state, out);
-        }
-        if plan.antithetic {
-            for (program, out) in programs.iter().zip(partners.iter_mut()) {
+        let passes = if plan.antithetic { 2 } else { 1 };
+        for (antithetic, outs) in [(false, firsts), (true, partners)].into_iter().take(passes) {
+            if antithetic {
                 stream.reset_antithetic(seeds);
-                program.run(stream, state);
-                outcomes(program, state, out);
+            } else {
+                stream.reset(seeds);
+            }
+            state.reset(stream);
+            programs[0].run_steps(stream, state, 0..prefix);
+            if programs.len() > 1 {
+                fork.0.clone_from(stream);
+                fork.1.restore(state);
+            }
+            for (i, (program, out)) in programs.iter().zip(outs).enumerate() {
+                if i > 0 {
+                    stream.clone_from(&fork.0);
+                    state.restore(&fork.1);
+                }
+                program.run_steps(stream, state, prefix..program.len());
+                out.clear();
+                out.extend((0..seeds.len()).map(|lane| program.outcome(state, lane)));
             }
         }
     };
@@ -620,9 +692,11 @@ fn drive_programs(
             let results = run_segments(&segments, threads, |start, width| -> PairedSegment {
                 let seeds = segment_seeds(master_seed, start, width);
                 let mut stream = BatchFailureStream::new(model, &[]);
+                let mut fork = (stream.clone(), BatchState::new());
                 let mut firsts = vec![Vec::new(); programs.len()];
                 let mut partners = vec![Vec::new(); programs.len()];
-                run_segment(&mut stream, &mut BatchState::new(), &seeds, &mut firsts, &mut partners);
+                let mut state = BatchState::new();
+                run_segment(&mut stream, &mut state, &mut fork, &seeds, &mut firsts, &mut partners);
                 (firsts, partners)
             });
             // Merge in replication order, block by block, replicating the
@@ -649,6 +723,7 @@ fn drive_programs(
     let mut seed_buf = vec![0u64; lanes];
     let mut stream = BatchFailureStream::new(model, &[]);
     let mut state = BatchState::new();
+    let mut fork = (stream.clone(), BatchState::new());
     let mut firsts: Vec<Vec<SimOutcome>> = vec![Vec::with_capacity(lanes); programs.len()];
     let mut partners: Vec<Vec<SimOutcome>> = vec![Vec::with_capacity(lanes); programs.len()];
     let mut done = 0usize;
@@ -662,7 +737,7 @@ fn drive_programs(
             let width = remaining.min(lanes);
             let chunk = &mut seed_buf[..width];
             seeds.fill(chunk);
-            run_segment(&mut stream, &mut state, chunk, &mut firsts, &mut partners);
+            run_segment(&mut stream, &mut state, &mut fork, chunk, &mut firsts, &mut partners);
             merge_segment(acc, &firsts, &partners);
             remaining -= width;
         }
@@ -678,6 +753,7 @@ mod tests {
     use super::*;
     use crate::replicate::{accumulate_paired_engine, ReplicationBudget};
     use ft_composite::params::ModelParams;
+    use ft_composite::scaling::WeakScalingScenario;
     use ft_platform::batch::BatchTraceBuffer;
     use ft_platform::failure::{AnyFailureModel, FailureSpec};
     use ft_platform::units::minutes;
@@ -965,6 +1041,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn shared_prefix_ends_where_the_programs_first_differ() {
+        let prefix = |params: &ModelParams, protocols: &[Protocol]| {
+            let engine = Engine::new(params);
+            let profile = ApplicationProfile::from_params(params);
+            let programs: Vec<BatchProgram> = protocols
+                .iter()
+                .map(|&p| BatchProgram::compile(p, &profile, engine.plan()))
+                .collect();
+            let refs: Vec<&BatchProgram> = programs.iter().collect();
+            (
+                shared_prefix(&refs),
+                programs.iter().map(BatchProgram::len).collect::<Vec<_>>(),
+            )
+        };
+        // α = 0: no LIBRARY phase, so every protocol compiles the same
+        // checkpointed GENERAL stream.
+        let (shared, lens) = prefix(
+            &ModelParams::paper_figure7(0.0, minutes(120.0)).unwrap(),
+            &Protocol::all(),
+        );
+        assert!(
+            lens.iter().all(|&len| len == shared && len > 0),
+            "{shared} of {lens:?}"
+        );
+        // α = 0.5: the GENERAL stream is shared, the LIBRARY phase is not.
+        let (shared, lens) = prefix(
+            &ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap(),
+            &Protocol::all(),
+        );
+        assert!(
+            shared > 0 && lens.iter().all(|&len| shared < len),
+            "{shared} of {lens:?}"
+        );
+        // fig9: the composite's short GENERAL phase is one period ending in
+        // the REMAINDER checkpoint, unlike PurePeriodic's first period.
+        let fig9 = WeakScalingScenario::figure9().params_at(1e5).unwrap();
+        let (shared, _) = prefix(
+            &fig9,
+            &[Protocol::PurePeriodicCkpt, Protocol::AbftPeriodicCkpt],
+        );
+        assert_eq!(shared, 0);
+        // A single program shares all of itself; none share nothing.
+        let (shared, lens) = prefix(&fig9, &[Protocol::BiPeriodicCkpt]);
+        assert_eq!(shared, lens[0]);
+        assert_eq!(shared_prefix(&[]), 0);
+    }
+
+    #[test]
+    fn shared_prefix_compares_steps_and_plans_by_bit_pattern() {
+        let engine = fig7_engine(FailureSpec::Exponential);
+        let profile = ApplicationProfile::from_params(engine.params());
+        let program = BatchProgram::compile(Protocol::PurePeriodicCkpt, &profile, engine.plan());
+        let full = program.len();
+        assert!(full > 1);
+        // `-0.0 == 0.0`, but a zero-cost step of either sign is its own step.
+        let mut signed = program.clone();
+        signed.steps[1] = Step::Forced { cost: 0.0 };
+        let mut negative = signed.clone();
+        negative.steps[1] = Step::Forced { cost: -0.0 };
+        assert_eq!(signed.steps[1], negative.steps[1]);
+        assert_eq!(shared_prefix(&[&signed, &negative]), 1);
+        // Identical steps under plans whose recovery differs diverge at once.
+        let mut replanned = program.clone();
+        replanned.plan.recovery += 1.0;
+        assert_eq!(shared_prefix(&[&program, &replanned]), 0);
+        assert_eq!(shared_prefix(&[&program, &program.clone()]), full);
     }
 
     #[test]

@@ -202,6 +202,16 @@ pub enum ResumeError {
         /// Failure count recorded in the snapshot.
         failures: u64,
     },
+    /// The snapshot's clock is not one this run's failure sequence reaches:
+    /// `now` or `next_failure` is not finite, or the sequence's draw number
+    /// `failures` (the clock draws once up front and once per failure) is
+    /// not exactly `next_failure`.
+    ClockMismatch {
+        /// Failure count recorded in the snapshot.
+        failures: u64,
+        /// Clock `next_failure` recorded in the snapshot, raw bits.
+        next_failure_bits: u64,
+    },
 }
 
 impl std::fmt::Display for ResumeError {
@@ -219,6 +229,15 @@ impl std::fmt::Display for ResumeError {
             ResumeError::FailureCountOverflow { failures } => {
                 write!(f, "snapshot failure count {failures} overflows the failure cursor")
             }
+            ResumeError::ClockMismatch {
+                failures,
+                next_failure_bits,
+            } => write!(
+                f,
+                "snapshot clock ({failures} failures, next failure at {}) is not on this run's \
+                 failure sequence",
+                f64::from_bits(*next_failure_bits)
+            ),
         }
     }
 }
@@ -336,8 +355,9 @@ impl<'e> ResumableSim<'e> {
     /// # Errors
     ///
     /// A [`ResumeError`] when the snapshot belongs to another protocol, its
-    /// position does not exist in this run's program, or its failure count
-    /// cannot position the failure cursor.
+    /// position does not exist in this run's program, its failure count
+    /// cannot position the failure cursor, or its clock is not one the
+    /// failure sequence reaches.
     pub fn resume<M: FailureModel>(
         &self,
         buffer: &mut TraceBuffer<M>,
@@ -369,12 +389,25 @@ impl<'e> ResumableSim<'e> {
         };
         let failures = usize::try_from(snapshot.failures).map_err(|_| overflow)?;
         let draws = failures.checked_add(1).ok_or(overflow)?;
-        let mut clock = SimClock::resume(
-            buffer.cursor_at(draws),
+        let (now, next_failure) = (
             f64::from_bits(snapshot.now_bits),
             f64::from_bits(snapshot.next_failure_bits),
-            failures,
         );
+        // The clock's draw number `failures` is its `next_failure`.  Failure
+        // times only grow, so the walk stops at the first draw past
+        // `next_failure`: an inflated count costs no more draws than the run
+        // that reached this clock.
+        let on_sequence = now.is_finite()
+            && next_failure.is_finite()
+            && (0..failures).all(|draw| buffer.time(draw) <= next_failure)
+            && buffer.time(failures).to_bits() == snapshot.next_failure_bits;
+        if !on_sequence {
+            return Err(ResumeError::ClockMismatch {
+                failures: snapshot.failures,
+                next_failure_bits: snapshot.next_failure_bits,
+            });
+        }
+        let mut clock = SimClock::resume(buffer.cursor_at(draws), now, next_failure, failures);
         self.drive(&mut clock, step, done, || false);
         Ok(self.outcome(&clock))
     }

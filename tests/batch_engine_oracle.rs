@@ -98,7 +98,7 @@ fn arb_point() -> impl Strategy<Value = (ModelParams, ApplicationProfile)> {
 }
 
 
-/// The serial batch driver over freshly compiled `protocols`.
+/// The batch driver over freshly compiled `protocols`, on `threads` threads.
 fn batch_paired(
     engine: &Engine,
     protocols: &[Protocol],
@@ -106,13 +106,14 @@ fn batch_paired(
     plan: ReplicationPlan,
     master: u64,
     lanes: usize,
+    threads: usize,
 ) -> PairedAccumulator {
     let programs: Vec<BatchProgram> = protocols
         .iter()
         .map(|&p| BatchProgram::compile(p, profile, engine.plan()))
         .collect();
     let refs: Vec<&BatchProgram> = programs.iter().collect();
-    accumulate_paired_programs_batch(engine, protocols, &refs, plan, master, lanes, 1)
+    accumulate_paired_programs_batch(engine, protocols, &refs, plan, master, lanes, threads)
 }
 
 fn lane_seeds(master: u64, width: usize) -> Vec<u64> {
@@ -588,33 +589,51 @@ fn parallel_paired_driver_matches_the_scalar_oracle() {
 
 /// Paired common-random-numbers accumulation (the crossover machinery's
 /// engine) survives batching bit for bit: marginals, per-trace deltas and
-/// the paired-delta stopping rule.
+/// the paired-delta stopping rule.  The protocol sets and α values give
+/// programs that share all (α = 0), part (α = 0.5) or none (α = 1 for the
+/// Pure/ABFT pair) of their leading steps, so the driver's fork where the
+/// programs first differ — taken with the failure stream, including the
+/// cascade clock's per-lane `SourceState` — is checked against the scalar
+/// oracle, which runs every protocol from step 0.
 #[test]
 fn paired_accumulation_is_bit_identical_under_batching() {
-    let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
-    let protocols = [Protocol::PurePeriodicCkpt, Protocol::AbftPeriodicCkpt];
-    for spec in [FailureSpec::Exponential, FailureSpec::Weibull { shape: 0.7 }] {
-        let engine = Engine::with_failure_spec(&params, spec).unwrap();
+    let pair = [Protocol::PurePeriodicCkpt, Protocol::AbftPeriodicCkpt];
+    let all = Protocol::all();
+    for alpha in [0.0, 0.5, 1.0] {
+        let params = ModelParams::paper_figure7(alpha, minutes(120.0)).unwrap();
         let profile = ApplicationProfile::from_params(&params);
-        for budget in [
-            ReplicationBudget::Fixed(137), // ragged against every width below
-            ReplicationBudget::AdaptiveDelta {
-                rel_precision: 0.05,
-                min: 60,
-                max: 400,
-            },
-        ] {
-            for antithetic in [false, true] {
-                let plan = ReplicationPlan::new(budget).antithetic(antithetic);
-                let scalar = accumulate_paired_engine(&engine, &protocols, &profile, plan, 29);
-                for lanes in [1usize, 50, 128] {
-                    let batch = batch_paired(
-                        &engine, &protocols, &profile, plan, 29, lanes,
-                    );
-                    assert_eq!(
-                        scalar, batch,
-                        "{spec} {budget:?} antithetic={antithetic} lanes={lanes}"
-                    );
+        let cascade = ScenarioSpec::Cascade.resolve(minutes(120.0), hours(48.0)).unwrap();
+        let engines = [
+            Engine::with_failure_spec(&params, FailureSpec::Exponential).unwrap(),
+            Engine::with_failure_spec(&params, FailureSpec::Weibull { shape: 0.7 }).unwrap(),
+            Engine::with_failure_model(&params, cascade),
+        ];
+        for engine in &engines {
+            let name = engine.failure_model().name();
+            for protocols in [&pair[..], &all[..]] {
+                for budget in [
+                    ReplicationBudget::Fixed(137), // ragged against every width below
+                    ReplicationBudget::AdaptiveDelta {
+                        rel_precision: 0.05,
+                        min: 60,
+                        max: 400,
+                    },
+                ] {
+                    for antithetic in [false, true] {
+                        let plan = ReplicationPlan::new(budget).antithetic(antithetic);
+                        let scalar =
+                            accumulate_paired_engine(engine, protocols, &profile, plan, 29);
+                        for (lanes, threads) in [(1usize, 1usize), (50, 1), (128, 1), (50, 2)] {
+                            let batch = batch_paired(
+                                engine, protocols, &profile, plan, 29, lanes, threads,
+                            );
+                            assert_eq!(
+                                scalar, batch,
+                                "{name} α={alpha} {protocols:?} {budget:?} \
+                                 antithetic={antithetic} lanes={lanes} threads={threads}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -405,6 +405,63 @@ fn resume_rejects_a_failure_count_that_overflows_the_cursor() {
     assert!(message.contains("18446744073709551615"), "{message}");
 }
 
+/// A snapshot whose clock this run's failure sequence never reaches fails
+/// with a typed error, and promptly: an inflated failure count must not make
+/// the cursor draw that many failures first.
+#[test]
+fn resume_rejects_a_clock_the_failure_sequence_does_not_reach() {
+    let engine = Engine::new(&params());
+    let profile = ApplicationProfile::from_params_repeated(engine.params(), 2);
+    let (sim, snapshot) = composite_snapshot(&engine, &profile);
+    let mut buffer = engine.trace_buffer(5);
+    assert!(sim.resume(&mut buffer, &snapshot).is_ok());
+    let mismatch = |bad: &SimSnapshot| ResumeError::ClockMismatch {
+        failures: bad.failures,
+        next_failure_bits: bad.next_failure_bits,
+    };
+    let started = std::time::Instant::now();
+    let mut corrupt = vec![
+        SimSnapshot {
+            failures: u64::MAX - 1,
+            ..snapshot
+        },
+        SimSnapshot {
+            failures: snapshot.failures + 1,
+            ..snapshot
+        },
+    ];
+    if snapshot.failures > 0 {
+        corrupt.push(SimSnapshot {
+            failures: snapshot.failures - 1,
+            ..snapshot
+        });
+    }
+    for bits in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(f64::to_bits) {
+        corrupt.push(SimSnapshot {
+            now_bits: bits,
+            ..snapshot
+        });
+        corrupt.push(SimSnapshot {
+            next_failure_bits: bits,
+            ..snapshot
+        });
+    }
+    for bad in &corrupt {
+        buffer.reset(5);
+        assert_eq!(sim.resume(&mut buffer, bad), Err(mismatch(bad)), "{bad:?}");
+        // Whatever the count claims, the check draws at most one failure
+        // past the snapshot's own next failure.
+        assert!(buffer.sampled().len() as u64 <= snapshot.failures + 2, "{bad:?}");
+    }
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(5),
+        "rejections took {:?}",
+        started.elapsed()
+    );
+    let message = mismatch(&corrupt[0]).to_string();
+    assert!(message.contains("18446744073709551614"), "{message}");
+}
+
 /// A 42-byte record of the unversioned format that counted checkpointed
 /// streams, not program steps: `PurePeriodicCkpt`, stream 1, 500 s saved,
 /// clock at 1000 s with the next failure at 1100 s, 2 failures.
