@@ -176,6 +176,9 @@ fn emit_frame<C: ChecksumGen>(out: &mut Vec<u8>, gen: &mut C, kind: u8, payload:
 
 impl<C: ChecksumGen + Clone> FrameWriter<C> {
     /// Starts a stream: the header frame is emitted immediately.
+    ///
+    /// `chunk_size` is clamped to `1..=u32::MAX`, the range of a frame's
+    /// length field.
     pub fn new(header: FrameHeader, chunk_size: usize, checksum: C) -> Self {
         let mut stream_gen = checksum.clone();
         stream_gen.reset();
@@ -183,7 +186,7 @@ impl<C: ChecksumGen + Clone> FrameWriter<C> {
             out: Vec::new(),
             frame_gen: checksum,
             stream_gen,
-            chunk_size: chunk_size.max(1),
+            chunk_size: chunk_size.clamp(1, u32::MAX as usize),
             pending: Vec::new(),
             chunks: 0,
             body_len: 0,
@@ -717,6 +720,17 @@ mod tests {
         let n = enc.len();
         enc.truncate(n - 4);
         assert!(decode_coordinated(&enc).is_err());
+    }
+
+    #[test]
+    fn chunk_size_is_clamped_to_the_length_field() {
+        let writer = |chunk_size| FrameWriter::new(header(1), chunk_size, Crc32::new()).chunk_size;
+        assert_eq!(writer(usize::MAX), u32::MAX as usize);
+        assert_eq!(writer(u32::MAX as usize), u32::MAX as usize);
+        assert_eq!(writer(0), 1);
+        let body = encode_coordinated(&image());
+        let bytes = encode_stream(header(1), &body, usize::MAX, Crc32::new());
+        assert_eq!(decode_stream(&bytes, Crc32::new()).unwrap().1, body);
     }
 
     #[test]

@@ -125,11 +125,12 @@ impl<C: ChecksumGen + Clone, B: CheckpointBackend> CheckpointPipeline<C, B> {
     }
 
     /// Creates a pipeline with explicit chunking and retry configuration.
+    /// The frame writer clamps `chunk_size` to `1..=u32::MAX`.
     pub fn with_config(checksum: C, backend: B, chunk_size: usize, retry: RetryPolicy) -> Self {
         Self {
             checksum,
             backend,
-            chunk_size: chunk_size.max(1),
+            chunk_size,
             retry,
             next_generation: 0,
             ledger: BTreeMap::new(),

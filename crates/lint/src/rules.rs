@@ -20,7 +20,9 @@ pub const UNSEEDED_RANDOM: &str = "unseeded-randomness";
 pub const FLOAT_ACCUM: &str = "float-accumulation-order";
 /// `unwrap`/`expect`/`panic!` in non-test library code.
 pub const PANIC_FREE: &str = "panic-free-library";
-/// `unsafe` without `// SAFETY:`, and missing `#![forbid(unsafe_code)]`.
+/// `unsafe` without `// SAFETY:`, and a missing crate-level
+/// `#![forbid(unsafe_code)]` (or `#![deny(unsafe_code)]` where a crate uses
+/// `unsafe`).
 pub const UNSAFE_AUDIT: &str = "unsafe-audit";
 /// `BENCH_*.json` host-metadata schema.
 pub const BENCH_SCHEMA: &str = "bench-schema";
@@ -37,7 +39,7 @@ pub const RULES: &[(&str, &str)] = &[
     (UNSEEDED_RANDOM, "randomness must derive from SeedStream or an explicit seed; entropy-seeded constructors are forbidden"),
     (FLOAT_ACCUM, "parallel float reductions must flow through OutcomeAccumulator (Welford) to keep accumulation order fixed"),
     (PANIC_FREE, "unwrap/expect/panic!/unreachable! in non-test library code needs an allowlist justification"),
-    (UNSAFE_AUDIT, "every unsafe block needs a // SAFETY: comment; unsafe-free crates must #![forbid(unsafe_code)]"),
+    (UNSAFE_AUDIT, "every unsafe block needs a // SAFETY: comment; unsafe-free crates must #![forbid(unsafe_code)], the rest #![deny(unsafe_code)]"),
     (BENCH_SCHEMA, "BENCH_*.json must record host_logical_cores (+ single_core_annotation when it is 1)"),
 ];
 
@@ -375,31 +377,31 @@ fn unsafe_safety_comments(file: &SourceFile, findings: &mut Vec<Finding>) {
 
 /// Rule 6b — a crate with no `unsafe` anywhere must say so in its
 /// `lib.rs` via `#![forbid(unsafe_code)]`, so the property is enforced by
-/// the compiler rather than re-audited every review.
+/// the compiler rather than re-audited every review.  A crate that does use
+/// `unsafe` must carry `#![deny(unsafe_code)]` instead, so every site opts in
+/// with its own `#[allow(unsafe_code)]`.
 pub fn check_crate_forbids_unsafe(
     lib_rs_rel: &str,
     lib_rs: &SourceFile,
     crate_files: &[&SourceFile],
 ) -> Vec<Finding> {
-    let any_unsafe = crate_files.iter().any(|f| f.mentions_unsafe());
-    if any_unsafe {
-        return Vec::new();
-    }
-    let has_forbid = lib_rs
-        .lines
-        .iter()
-        .any(|l| l.code.contains("forbid(unsafe_code)"));
-    if has_forbid {
+    let (attribute, message) = if crate_files.iter().any(|f| f.mentions_unsafe()) {
+        (
+            "deny(unsafe_code)",
+            "crate uses `unsafe` but lib.rs lacks `#![deny(unsafe_code)]`, which makes \
+             each site opt in with `#[allow(unsafe_code)]` (docs/LINTS.md#unsafe-audit)",
+        )
+    } else {
+        (
+            "forbid(unsafe_code)",
+            "crate is unsafe-free but lib.rs lacks `#![forbid(unsafe_code)]` \
+             (docs/LINTS.md#unsafe-audit)",
+        )
+    };
+    if lib_rs.lines.iter().any(|l| l.code.contains(attribute)) {
         Vec::new()
     } else {
-        vec![Finding::at(
-            UNSAFE_AUDIT,
-            lib_rs_rel,
-            1,
-            "crate is unsafe-free but lib.rs lacks `#![forbid(unsafe_code)]` \
-             (docs/LINTS.md#unsafe-audit)"
-                .to_string(),
-        )]
+        vec![Finding::at(UNSAFE_AUDIT, lib_rs_rel, 1, message.to_string())]
     }
 }
 
@@ -501,17 +503,38 @@ mod tests {
                 .len(),
             1
         );
-        // A crate that does use unsafe is exempt from the forbid requirement
-        // (its sites are covered by the SAFETY-comment check instead).
+    }
+
+    #[test]
+    fn unsafe_crate_without_deny_is_flagged() {
+        // Neither a missing attribute nor a forbid (which would not compile)
+        // satisfies a crate that uses unsafe.
         let unsafe_file = lib_file(
             "crates/platform/src/rng.rs",
-            "fn f() { // SAFETY: test\n unsafe { x() } }\n",
+            "#[allow(unsafe_code)]\nfn f() { // SAFETY: test\n unsafe { x() } }\n",
+        );
+        let rel = "crates/platform/src/lib.rs";
+        for src in ["//! docs\n", "#![forbid(unsafe_code)]\n"] {
+            let lib = lib_file(rel, src);
+            let findings = check_crate_forbids_unsafe(rel, &lib, &[&lib, &unsafe_file]);
+            assert_eq!(findings.len(), 1, "{src}");
+            assert!(findings[0].message.contains("deny(unsafe_code)"));
+        }
+    }
+
+    #[test]
+    fn unsafe_crate_with_deny_is_clean() {
+        let lib = lib_file("crates/platform/src/lib.rs", "#![deny(unsafe_code)]\n");
+        let unsafe_file = lib_file(
+            "crates/platform/src/rng.rs",
+            "#[allow(unsafe_code)]\nfn f() { // SAFETY: test\n unsafe { x() } }\n",
         );
         assert!(check_crate_forbids_unsafe(
             "crates/platform/src/lib.rs",
-            &plain,
-            &[&plain, &unsafe_file]
+            &lib,
+            &[&lib, &unsafe_file]
         )
         .is_empty());
+        assert!(check_file(&unsafe_file).is_empty());
     }
 }

@@ -35,7 +35,7 @@
 //! consume these descriptions to compute costs and to drive discrete-event
 //! simulations.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
