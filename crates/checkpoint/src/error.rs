@@ -27,6 +27,16 @@ pub enum CkptError {
         /// Ranks of the process set it was applied to.
         target_ranks: usize,
     },
+    /// Two checkpoints combined position by position hold different ranks
+    /// at the same position.
+    RankMismatch {
+        /// Position of the snapshot in both checkpoints.
+        position: usize,
+        /// Rank the base (or entry) checkpoint holds there.
+        expected: usize,
+        /// Rank the other checkpoint holds there.
+        found: usize,
+    },
     /// A split checkpoint was assembled from partial checkpoints that do not
     /// cover complementary datasets.
     IncompatiblePartials,
@@ -57,6 +67,14 @@ impl fmt::Display for CkptError {
             } => write!(
                 f,
                 "checkpoint covers {checkpoint_ranks} ranks but target process set has {target_ranks}"
+            ),
+            CkptError::RankMismatch {
+                position,
+                expected,
+                found,
+            } => write!(
+                f,
+                "snapshot {position} holds rank {found} where rank {expected} was expected"
             ),
             CkptError::IncompatiblePartials => {
                 write!(f, "partial checkpoints do not cover complementary datasets")
@@ -89,5 +107,15 @@ mod tests {
             target_ranks: 3,
         };
         assert!(e.to_string().contains('2') && e.to_string().contains('3'));
+        let e = CkptError::RankMismatch {
+            position: 1,
+            expected: 5,
+            found: 7,
+        };
+        assert!(
+            e.to_string().contains('1')
+                && e.to_string().contains('5')
+                && e.to_string().contains('7')
+        );
     }
 }

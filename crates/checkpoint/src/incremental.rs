@@ -77,7 +77,9 @@ impl IncrementalCheckpoint {
     }
 
     /// Folds this increment onto a base coordinated checkpoint, producing the
-    /// complete checkpoint an application would restore from.
+    /// complete checkpoint an application would restore from.  Snapshots are
+    /// paired by position; a position whose ranks differ is a
+    /// [`CkptError::RankMismatch`].
     pub fn apply_onto(&self, base: &CoordinatedCheckpoint) -> Result<CoordinatedCheckpoint> {
         if base.ranks() != self.snapshots.len() {
             return Err(CkptError::ShapeMismatch {
@@ -87,8 +89,15 @@ impl IncrementalCheckpoint {
         }
         let mut combined = base.clone();
         combined.time = self.time;
-        for (snap, inc) in combined.snapshots.iter_mut().zip(self.snapshots.iter()) {
-            debug_assert_eq!(snap.rank, inc.rank);
+        let pairs = combined.snapshots.iter_mut().zip(&self.snapshots);
+        for (position, (snap, inc)) in pairs.enumerate() {
+            if snap.rank != inc.rank {
+                return Err(CkptError::RankMismatch {
+                    position,
+                    expected: snap.rank,
+                    found: inc.rank,
+                });
+            }
             snap.progress = inc.progress;
             for dirty in &inc.regions {
                 if let Some(existing) = snap
@@ -198,5 +207,23 @@ mod tests {
         let base_small = CoordinatedCheckpoint::capture(&small, 0.0);
         let inc_big = IncrementalCheckpoint::capture_since(&big, &CoordinatedCheckpoint::capture(&big, 0.0), 1.0);
         assert!(inc_big.apply_onto(&base_small).is_err());
+    }
+
+    #[test]
+    fn rank_permuted_delta_is_rejected() {
+        let mut set = ProcessSet::uniform(3, 16, 16);
+        let base = CoordinatedCheckpoint::capture(&set, 0.0);
+        set.process_mut(0).unwrap().region_mut(0).unwrap().write(vec![1; 16]);
+        set.process_mut(2).unwrap().region_mut(1).unwrap().write(vec![2; 16]);
+        let mut inc = IncrementalCheckpoint::capture_since(&set, &base, 1.0);
+        inc.snapshots.swap(0, 2);
+        assert_eq!(
+            inc.apply_onto(&base).unwrap_err(),
+            CkptError::RankMismatch {
+                position: 0,
+                expected: 0,
+                found: 2
+            }
+        );
     }
 }

@@ -76,7 +76,8 @@ pub struct SplitCheckpoint {
 
 impl SplitCheckpoint {
     /// Assembles a split checkpoint, verifying that the two halves cover
-    /// complementary datasets and the same set of ranks.
+    /// complementary datasets and the same ranks in the same order (the
+    /// halves are combined position by position).
     pub fn new(entry: PartialCheckpoint, exit: PartialCheckpoint) -> Result<Self> {
         if entry.kind != DatasetKind::Remainder || exit.kind != DatasetKind::Library {
             return Err(CkptError::IncompatiblePartials);
@@ -85,6 +86,14 @@ impl SplitCheckpoint {
             return Err(CkptError::ShapeMismatch {
                 checkpoint_ranks: entry.ranks(),
                 target_ranks: exit.ranks(),
+            });
+        }
+        let pairs = entry.snapshots.iter().zip(&exit.snapshots);
+        if let Some((position, (e, x))) = pairs.enumerate().find(|(_, (e, x))| e.rank != x.rank) {
+            return Err(CkptError::RankMismatch {
+                position,
+                expected: e.rank,
+                found: x.rank,
             });
         }
         Ok(Self { entry, exit })
@@ -209,5 +218,21 @@ mod tests {
             SplitCheckpoint::new(entry, exit),
             Err(CkptError::ShapeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn rank_permuted_exit_is_rejected() {
+        let set = ProcessSet::uniform(3, 8, 8);
+        let entry = PartialCheckpoint::capture(&set, DatasetKind::Remainder, 0.0);
+        let mut exit = PartialCheckpoint::capture(&set, DatasetKind::Library, 1.0);
+        exit.snapshots.swap(1, 2);
+        assert_eq!(
+            SplitCheckpoint::new(entry, exit).unwrap_err(),
+            CkptError::RankMismatch {
+                position: 1,
+                expected: 1,
+                found: 2
+            }
+        );
     }
 }

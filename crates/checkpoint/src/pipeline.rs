@@ -610,6 +610,30 @@ mod tests {
     }
 
     #[test]
+    fn rank_swapped_delta_is_rejected_and_restore_falls_back() {
+        let mut set = ProcessSet::uniform(3, 64, 32);
+        let base_image = CoordinatedCheckpoint::capture(&set, 1.0);
+        let mut p = pipeline();
+        let base_generation = p.commit_full(&base_image).unwrap();
+        set.process_mut(0).unwrap().region_mut(0).unwrap().write(vec![5; 64]);
+        let mut delta = IncrementalCheckpoint::capture_since(&set, &base_image, 2.0);
+        // Checksums are computed over the permuted body, so every frame of
+        // this generation verifies; only the rank order is wrong.
+        delta.snapshots.swap(0, 1);
+        let swapped = p.commit_delta(&delta, base_generation).unwrap();
+        assert!(p.verify(swapped).is_ok());
+
+        let (restored, outcome) = p.restore_latest().unwrap();
+        assert_eq!(outcome.generation, base_generation);
+        assert_eq!(restored, base_image);
+        assert_eq!(outcome.fallback_depth, 1);
+        assert!(matches!(
+            outcome.rejected[..],
+            [(g, RestoreFault::CorruptFrame { .. })] if g == swapped
+        ));
+    }
+
+    #[test]
     fn corrupt_base_disqualifies_the_delta_that_needs_it() {
         let mut set = ProcessSet::uniform(2, 64, 32);
         let mut p = pipeline();

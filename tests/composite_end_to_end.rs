@@ -120,3 +120,31 @@ fn checkpoint_store_and_runtime_costs_are_consistent_with_the_storage_model() {
     assert!((store.total_write_cost() - 3.0 * expected_each).abs() < 1e-9);
     assert_eq!(store.latest_before(150.0).unwrap().time, 100.0);
 }
+
+/// Pins the final state of one run whose failures come from a fixed seed.
+/// Recorded with the one-chain FNV-1a fingerprint, before the multi-lane
+/// kernel existed; never edit the value.
+#[test]
+fn seeded_composite_run_final_fingerprint_is_pinned() {
+    use ft_platform::rng::{DeterministicRng, Xoshiro256};
+
+    let params = params();
+    let profile = ApplicationProfile::from_params_repeated(&params, 4);
+    let mut rng = Xoshiro256::seed_from_u64(2718);
+    let failures: Vec<PlannedFailure> = (0..4)
+        .map(|epoch| PlannedFailure {
+            epoch,
+            phase: if rng.next_u64() & 1 == 0 {
+                PhaseKind::Library
+            } else {
+                PhaseKind::General
+            },
+            fraction: 0.05 + 0.9 * rng.next_f64(),
+            rank: (rng.next_u64() % 6) as usize,
+        })
+        .collect();
+    let report = CompositeRuntime::new(ProcessSet::uniform(6, 24 * 1024, 40 * 1024), params)
+        .run(&profile, &failures)
+        .unwrap();
+    assert_eq!(report.final_fingerprint, 421_923_759_813_458_254);
+}
