@@ -29,7 +29,7 @@ use crate::frame::{
 };
 use crate::incremental::IncrementalCheckpoint;
 use crate::partial::PartialCheckpoint;
-use crate::verify::{fetch_verified, RestoreFault, RetryPolicy};
+use crate::verify::{fetch_verified, fetch_verified_counting, RestoreFault, RetryPolicy};
 
 /// Which pipeline operation a [`GenerationCost`] record measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +58,9 @@ pub struct GenerationCost {
     pub op: PipelineOp,
     /// Unframed payload bytes.
     pub raw_bytes: usize,
-    /// Bytes actually stored/fetched (framing overhead included).
+    /// Bytes actually stored/fetched (framing overhead included); for a
+    /// restore, summed over every stream it fetched, whether or not the
+    /// stream verified: chain bases and rejected candidates included.
     pub stored_bytes: usize,
     /// Wall-clock seconds the operation took.
     pub seconds: f64,
@@ -235,27 +237,41 @@ impl<C: ChecksumGen + Clone, B: CheckpointBackend> CheckpointPipeline<C, B> {
     /// image; records the verification cost.
     pub fn verify(&mut self, generation: u64) -> Result<(), RestoreFault> {
         let started = Stopwatch::start();
-        let v = fetch_verified(&mut self.backend, generation, &self.checksum, self.retry)?;
+        let mut fetched = 0;
+        let v = fetch_verified_counting(
+            &mut self.backend,
+            generation,
+            &self.checksum,
+            self.retry,
+            &mut fetched,
+        )?;
         self.costs.push(GenerationCost {
             generation,
             op: PipelineOp::Verify,
             raw_bytes: v.body.len(),
-            stored_bytes: v.body.len(),
+            stored_bytes: fetched,
             seconds: started.elapsed_seconds(),
         });
         Ok(())
     }
 
     /// Resolves one generation into a complete coordinated image, following
-    /// delta/partial chains down to their full base.  `budget` tracks
-    /// transient retries and backoff across the chain.
+    /// delta/partial chains down to their full base.  `retries`, `backoff`
+    /// and `fetched` (stream bytes) accumulate across the chain.
     fn resolve_chain(
         &mut self,
         generation: u64,
         retries: &mut u32,
         backoff: &mut f64,
+        fetched: &mut usize,
     ) -> Result<CoordinatedCheckpoint, RestoreFault> {
-        let v = fetch_verified(&mut self.backend, generation, &self.checksum, self.retry)?;
+        let v = fetch_verified_counting(
+            &mut self.backend,
+            generation,
+            &self.checksum,
+            self.retry,
+            fetched,
+        )?;
         *retries += v.attempts - 1;
         *backoff += v.backoff_cost;
         fn corrupted<E>(generation: u64) -> impl Fn(E) -> RestoreFault {
@@ -267,12 +283,12 @@ impl<C: ChecksumGen + Clone, B: CheckpointBackend> CheckpointPipeline<C, B> {
         match v.header.payload {
             PayloadKind::Full => decode_coordinated(&v.body).map_err(corrupted(generation)),
             PayloadKind::Delta { base } => {
-                let base_image = self.resolve_chain(base, retries, backoff)?;
+                let base_image = self.resolve_chain(base, retries, backoff, fetched)?;
                 let delta = decode_incremental(&v.body).map_err(corrupted(generation))?;
                 delta.apply_onto(&base_image).map_err(corrupted(generation))
             }
             PayloadKind::Partial { base, .. } => {
-                let base_image = self.resolve_chain(base, retries, backoff)?;
+                let base_image = self.resolve_chain(base, retries, backoff, fetched)?;
                 let partial = decode_partial(&v.body).map_err(corrupted(generation))?;
                 Ok(apply_partial_onto(&partial, &base_image))
             }
@@ -308,6 +324,7 @@ impl<C: ChecksumGen + Clone, B: CheckpointBackend> CheckpointPipeline<C, B> {
         let mut rejected: Vec<(u64, RestoreFault)> = Vec::new();
         let mut retries = 0u32;
         let mut backoff = 0.0f64;
+        let mut fetched = 0usize;
         let mut candidates: Vec<u64> = self.backend.generations();
         candidates.reverse();
         for generation in candidates {
@@ -318,7 +335,7 @@ impl<C: ChecksumGen + Clone, B: CheckpointBackend> CheckpointPipeline<C, B> {
             ) {
                 continue;
             }
-            match self.resolve_chain(generation, &mut retries, &mut backoff) {
+            match self.resolve_chain(generation, &mut retries, &mut backoff, &mut fetched) {
                 Ok(image) => {
                     let rework = self
                         .newest_image_time()
@@ -336,7 +353,7 @@ impl<C: ChecksumGen + Clone, B: CheckpointBackend> CheckpointPipeline<C, B> {
                         generation,
                         op: PipelineOp::Restore,
                         raw_bytes: image.bytes(),
-                        stored_bytes: 0,
+                        stored_bytes: fetched,
                         seconds: started.elapsed_seconds(),
                     });
                     return Ok((image, outcome));
@@ -349,7 +366,7 @@ impl<C: ChecksumGen + Clone, B: CheckpointBackend> CheckpointPipeline<C, B> {
                     | RestoreFault::MissingGeneration { .. } | RestoreFault::Transient { .. } =
                         &fault
                     {
-                        if self.is_state_generation(generation) {
+                        if self.is_state_generation(generation, &mut fetched) {
                             continue;
                         }
                     }
@@ -360,12 +377,15 @@ impl<C: ChecksumGen + Clone, B: CheckpointBackend> CheckpointPipeline<C, B> {
         Err(RestoreFault::NoVerifiableGeneration { rejected })
     }
 
-    fn is_state_generation(&mut self, generation: u64) -> bool {
+    /// Whether `generation` holds a state snapshot; an unledgered one is
+    /// fetched to peek at its header, its stream length added to `fetched`.
+    fn is_state_generation(&mut self, generation: u64, fetched: &mut usize) -> bool {
         if let Some(entry) = self.ledger.get(&generation) {
             return matches!(entry.payload, PayloadKind::State);
         }
         // Unledgered: peek at the header if the stream is readable.
-        fetch_verified(&mut self.backend, generation, &self.checksum, RetryPolicy::no_retry())
+        let retry = RetryPolicy::no_retry();
+        fetch_verified_counting(&mut self.backend, generation, &self.checksum, retry, fetched)
             .map(|v| matches!(v.header.payload, PayloadKind::State))
             .unwrap_or(false)
     }
@@ -766,6 +786,56 @@ mod tests {
         // Framing adds overhead: stored > raw for the write.
         let write = p.costs().iter().find(|c| c.op == PipelineOp::WriteFull).unwrap();
         assert!(write.stored_bytes > write.raw_bytes);
+    }
+
+    #[test]
+    fn reads_record_the_framed_bytes_they_fetch() {
+        let mut set = ProcessSet::uniform(2, 256, 128);
+        let base_image = CoordinatedCheckpoint::capture(&set, 1.0);
+        let mut p = pipeline();
+        let base = p.commit_full(&base_image).unwrap();
+        set.process_mut(0)
+            .unwrap()
+            .region_mut(0)
+            .unwrap()
+            .write(vec![3; 256]);
+        let delta = IncrementalCheckpoint::capture_since(&set, &base_image, 2.0);
+        let top = p.commit_delta(&delta, base).unwrap();
+        let stored = |p: &CheckpointPipeline<Crc32, MemoryBackend>, op, generation| {
+            let record = p
+                .costs()
+                .iter()
+                .rev()
+                .find(|c| c.op == op && c.generation == generation);
+            record.map(|c| c.stored_bytes).unwrap()
+        };
+        let (base_bytes, top_bytes) = (
+            stored(&p, PipelineOp::WriteFull, base),
+            stored(&p, PipelineOp::WriteDelta, top),
+        );
+        // A verify fetches exactly the stream its write stored.
+        for (generation, written) in [(base, base_bytes), (top, top_bytes)] {
+            p.verify(generation).unwrap();
+            assert_eq!(stored(&p, PipelineOp::Verify, generation), written);
+        }
+        // A restore fetches the whole chain: the delta and its base.
+        p.restore_latest().unwrap();
+        assert_eq!(stored(&p, PipelineOp::Restore, top), base_bytes + top_bytes);
+        // A restore that falls back past a bit-flipped newer image counts
+        // the rejected stream too: it was fetched before it failed.
+        let newer = p
+            .commit_full(&CoordinatedCheckpoint::capture(&set, 3.0))
+            .unwrap();
+        let newer_bytes = stored(&p, PipelineOp::WriteFull, newer);
+        let mut bytes = p.backend_mut().get(newer).unwrap();
+        bytes[newer_bytes / 2] ^= 0x10;
+        p.backend_mut().put(newer, &bytes).unwrap();
+        let (_, outcome) = p.restore_latest().unwrap();
+        assert_eq!((outcome.generation, outcome.fallback_depth), (top, 1));
+        assert_eq!(
+            stored(&p, PipelineOp::Restore, top),
+            newer_bytes + top_bytes + base_bytes
+        );
     }
 
     #[test]

@@ -146,6 +146,22 @@ where
     B: CheckpointBackend,
     C: ChecksumGen + Clone,
 {
+    fetch_verified_counting(backend, generation, checksum, retry, &mut 0)
+}
+
+/// [`fetch_verified`], also adding the length of the stream it fetched
+/// (framing included) to `fetched`, whether or not the stream verifies.
+pub(crate) fn fetch_verified_counting<B, C>(
+    backend: &mut B,
+    generation: u64,
+    checksum: &C,
+    retry: RetryPolicy,
+    fetched: &mut usize,
+) -> Result<VerifiedStream, RestoreFault>
+where
+    B: CheckpointBackend,
+    C: ChecksumGen + Clone,
+{
     let max_attempts = retry.max_attempts.max(1);
     let mut backoff_cost = 0.0;
     let mut attempts = 0;
@@ -167,6 +183,7 @@ where
             }
         }
     };
+    *fetched += bytes.len();
     match decode_stream(&bytes, checksum.clone()) {
         Ok((header, body)) => Ok(VerifiedStream {
             header,

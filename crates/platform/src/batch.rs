@@ -41,6 +41,11 @@ pub trait BatchFailureSource {
     fn lanes(&self) -> usize;
 
     /// Absolute time of the next failure on `lane` (advances that lane only).
+    ///
+    /// Lanes share no state: the batch engine draws for different lanes in
+    /// an order of its own — step by step, and within a fused block only for
+    /// the lanes it missed — never in the order a scalar run of each lane
+    /// would, so a lane's sequence must not depend on any other lane's draws.
     fn next_failure(&mut self, lane: usize) -> f64;
 
     /// Mean inter-arrival time of the underlying model (the platform MTBF).

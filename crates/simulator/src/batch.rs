@@ -21,20 +21,31 @@
 //!
 //! # Why the result is bit-exact
 //!
-//! For each program step, a lane is advanced by one of two paths:
+//! The program runs in **blocks** of consecutive steps.  A block grows
+//! greedily while every cost term is finite and non-negative, its summed
+//! failure-free cost stays within one full checkpoint period
+//! (`plan.full_period`) and it holds at most eight steps; it never crosses
+//! the end of the step range being run (the paired driver's fork point).
+//! For each block, a lane is advanced by one of two paths:
 //!
-//! * **fast path** — the optimistic pass computes the step's end time with
-//!   *exactly the float additions, in exactly the order*, that the step's
-//!   first attempt would perform, and commits it only if the step provably
-//!   completes before the lane's next failure.  For a work+checkpoint
-//!   period the single test `(now + work) + ckpt < next_failure` implies the
-//!   two sequential `try_run` tests (`now + work ≥ (now + work) + ckpt`
-//!   can't hold for a nonnegative checkpoint under round-to-nearest), and the
-//!   committed end time is the bit pattern the clock would hold;
-//! * **slow path** — a lane whose step may be interrupted is left untouched
-//!   by the optimistic pass and then reruns the step on a
-//!   [`SimClock`] over that lane's own failure source, through the one
-//!   interpreter every simulation path shares (`Step::run`).
+//! * **fast path** — the optimistic pass computes the block's end time with
+//!   *exactly the float additions, in exactly the order*, that its steps'
+//!   first attempts would perform, and commits it only if every step
+//!   provably completes before the lane's next failure.  Round-to-nearest
+//!   addition of non-negative terms is monotone, so one test
+//!   `end < next_failure` on the block's end implies every intermediate
+//!   `try_run` test — for a work+checkpoint period `(now + work) + ckpt <
+//!   next_failure` implies `now + work < next_failure` — and the committed
+//!   end time is the bit pattern the clock would hold.  The pass keeps each
+//!   lane's sum in registers, eight lanes at a time;
+//! * **slow path** — a lane the optimistic pass misses is left untouched
+//!   and reruns the step on a [`SimClock`] over that lane's own failure
+//!   source, through the one interpreter every simulation path shares
+//!   (`Step::run`).  A lane that misses a multi-step block first replays
+//!   it step by step — each step's own fast-path test, and `Step::run`
+//!   where that fails — so the lanes that reach `Step::run` are exactly
+//!   those a step-at-a-time pass would send there, step by step in
+//!   ascending lane order.
 //!   At width 1 the batch engine *is* the scalar interpreter behind a
 //!   one-lane fast pass.
 //!
@@ -104,11 +115,14 @@ pub struct BatchState {
     now: Vec<f64>,
     next_failure: Vec<f64>,
     failures: Vec<usize>,
-    /// Dense worklist of the lanes whose current step missed the fast path,
-    /// in ascending lane order.  The slow path walks only this compacted
-    /// list, so a step with few interrupted lanes never re-reads the dead
-    /// ones.
+    /// Dense worklist of the lanes whose current step failed its fast-path
+    /// test, in ascending lane order.  The slow path walks only this
+    /// compacted list, so a step with few interrupted lanes never re-reads
+    /// the dead ones.
     interrupted: Vec<u32>,
+    /// Dense worklist of the lanes the current multi-step block missed, in
+    /// ascending lane order: the lanes that replay the block step by step.
+    missed: Vec<u32>,
 }
 
 impl BatchState {
@@ -139,8 +153,27 @@ impl BatchState {
         self.interrupted.clear();
     }
 
+    /// Replays `step`'s own fast-path test for every lane of the `missed`
+    /// worklist, branch-free: a lane the step completes failure-free
+    /// commits the step's first attempt, the rest are compacted into
+    /// `interrupted`, in ascending lane order.
+    fn replay_test(&mut self, step: Step) {
+        self.interrupted.clear();
+        self.interrupted.resize(self.missed.len(), 0);
+        let mut hits = 0usize;
+        for &lane in &self.missed {
+            let lane = lane as usize;
+            let end = first_attempt_end(self.now[lane], step);
+            let ok = end < self.next_failure[lane];
+            self.now[lane] = if ok { end } else { self.now[lane] };
+            self.interrupted[hits] = lane as u32;
+            hits += usize::from(!ok);
+        }
+        self.interrupted.truncate(hits);
+    }
+
     /// Overwrites every lane's clock with `snapshot`'s, reusing this state's
-    /// allocations (the worklist is per-step scratch and is not copied).
+    /// allocations (the worklists are per-step scratch and are not copied).
     fn restore(&mut self, snapshot: &Self) {
         self.now.clone_from(&snapshot.now);
         self.next_failure.clone_from(&snapshot.next_failure);
@@ -168,45 +201,109 @@ impl<S: BatchFailureSource> FailureSource for BatchLane<'_, S> {
     }
 }
 
-/// Advances every lane one failure-free step of `a + b` cost, branch-free:
-/// lanes whose optimistic end time `(now + a) + b` stays strictly before the
-/// next failure commit it (the exact float additions, in the exact order, of
-/// the scalar engine's first attempt); the rest are **compacted** into
-/// `interrupted`, a dense worklist of lane indices in ascending order.  The
-/// worklist write is unconditional with a predicated length bump, so the
-/// pass stays branch-free even when interrupts are common.
+/// Most steps one fused block spans.
+const MAX_BLOCK_STEPS: usize = 8;
+
+/// Lanes one fast-pass chunk holds in registers.
+const CHUNK: usize = 8;
+
+/// The failure-free cost terms of `step`, in the order its first attempt
+/// adds them to the clock: `([terms], count)`.
 #[inline]
-fn fast_pass_two(now: &mut [f64], next_failure: &[f64], interrupted: &mut Vec<u32>, a: f64, b: f64) {
-    let lanes = now.len();
-    interrupted.clear();
-    interrupted.resize(lanes, 0);
-    let mut hits = 0usize;
-    for (lane, (t, &nf)) in now.iter_mut().zip(next_failure).enumerate() {
-        let end = (*t + a) + b;
-        let ok = end < nf;
-        *t = if ok { end } else { *t };
-        interrupted[hits] = lane as u32;
-        hits += usize::from(!ok);
+fn cost_terms(step: Step) -> ([f64; 2], usize) {
+    match step {
+        Step::Period { work, ckpt } => ([work, ckpt], 2),
+        Step::Forced { cost } | Step::AbftWork { work: cost } | Step::AbftCkpt { cost } => {
+            ([cost, 0.0], 1)
+        }
     }
-    interrupted.truncate(hits);
 }
 
-/// Single-addition counterpart of [`fast_pass_two`] for steps with one cost
-/// term.
+/// The end time of `step`'s first attempt from `now`: the additions the
+/// fast pass commits, and the value the step's own fast-path test compares
+/// with the next failure.
 #[inline]
-fn fast_pass_one(now: &mut [f64], next_failure: &[f64], interrupted: &mut Vec<u32>, a: f64) {
-    let lanes = now.len();
-    interrupted.clear();
-    interrupted.resize(lanes, 0);
+fn first_attempt_end(now: f64, step: Step) -> f64 {
+    let (terms, n) = cost_terms(step);
+    terms[..n].iter().fold(now, |t, &a| t + a)
+}
+
+/// The length of the block that starts at `steps[0]`: it grows over the
+/// following steps while every cost term is finite and non-negative, the
+/// summed failure-free cost stays at most `cap` and it holds at most
+/// [`MAX_BLOCK_STEPS`] steps.  A first step that breaks the rule is a
+/// single-step block of its own.
+fn block_len(steps: &[Step], cap: f64) -> usize {
+    let mut cost = 0.0;
+    let mut len = 0;
+    for &step in steps.iter().take(MAX_BLOCK_STEPS) {
+        let (terms, n) = cost_terms(step);
+        let terms = &terms[..n];
+        cost = terms.iter().fold(cost, |c, &a| c + a);
+        if !(terms.iter().all(|a| a.is_finite() && *a >= 0.0) && cost <= cap) {
+            return len.max(1);
+        }
+        len += 1;
+    }
+    len
+}
+
+/// The cost terms of a block's steps, flattened in first-attempt order:
+/// `([terms], count)`.
+#[inline]
+fn block_terms(block: &[Step]) -> ([f64; 2 * MAX_BLOCK_STEPS], usize) {
+    let mut terms = [0.0; 2 * MAX_BLOCK_STEPS];
+    let mut len = 0;
+    for &step in block {
+        let (step_terms, n) = cost_terms(step);
+        terms[len..len + n].copy_from_slice(&step_terms[..n]);
+        len += n;
+    }
+    (terms, len)
+}
+
+/// Advances every lane through a block whose cost terms are `terms`,
+/// branch-free: each lane's end time is the block's additions in order (the
+/// exact float additions, in the exact order, of the scalar engine's first
+/// attempts), held in registers [`CHUNK`] lanes at a time, and one compare
+/// with the lane's next failure commits it.  A lane whose end does not stay
+/// strictly before its next failure is left untouched and **compacted**
+/// into `worklist`, a dense list of lane indices in ascending order.  The
+/// worklist write is unconditional with a predicated length bump, so the
+/// pass stays branch-free even when misses are common.
+#[inline]
+fn fast_pass(now: &mut [f64], next_failure: &[f64], worklist: &mut Vec<u32>, terms: &[f64]) {
+    worklist.clear();
+    worklist.resize(now.len(), 0);
     let mut hits = 0usize;
-    for (lane, (t, &nf)) in now.iter_mut().zip(next_failure).enumerate() {
-        let end = *t + a;
+    let (chunks, tail) = now.as_chunks_mut::<CHUNK>();
+    let (failure_chunks, failure_tail) = next_failure.as_chunks::<CHUNK>();
+    let base = chunks.len() * CHUNK;
+    for (c, (t, nf)) in chunks.iter_mut().zip(failure_chunks).enumerate() {
+        let mut end = *t;
+        for &a in terms {
+            for e in &mut end {
+                *e += a;
+            }
+        }
+        let mut ok = [false; CHUNK];
+        for lane in 0..CHUNK {
+            ok[lane] = end[lane] < nf[lane];
+            t[lane] = if ok[lane] { end[lane] } else { t[lane] };
+        }
+        for (lane, ok) in ok.into_iter().enumerate() {
+            worklist[hits] = (c * CHUNK + lane) as u32;
+            hits += usize::from(!ok);
+        }
+    }
+    for (lane, (t, &nf)) in tail.iter_mut().zip(failure_tail).enumerate() {
+        let end = terms.iter().fold(*t, |e, &a| e + a);
         let ok = end < nf;
         *t = if ok { end } else { *t };
-        interrupted[hits] = lane as u32;
+        worklist[hits] = (base + lane) as u32;
         hits += usize::from(!ok);
     }
-    interrupted.truncate(hits);
+    worklist.truncate(hits);
 }
 
 impl BatchProgram {
@@ -258,12 +355,15 @@ impl BatchProgram {
     /// one step loop, which [`BatchProgram::run`] enters at step 0 and the
     /// paired driver also enters at the end of a shared prefix.
     ///
-    /// Each step first sweeps all lanes through a branch-free fast pass —
-    /// two adds, a compare, and a select per lane over contiguous arrays —
-    /// committing every lane the step completes failure-free and compacting
-    /// the rest into a dense worklist of lane indices.  Only the worklist
-    /// lanes take the slow path, `Step::run` on a [`SimClock`] over the
-    /// lane — no re-scan of the committed lanes.
+    /// The steps are taken in blocks (see [`BatchProgram::blocks`]).  Each
+    /// block sweeps all lanes through one branch-free fast pass — the
+    /// block's adds, one compare and one select per lane over contiguous
+    /// arrays — committing every lane the block completes failure-free and
+    /// compacting the rest into a dense worklist of lane indices.  For a
+    /// single-step block the worklist lanes take the slow path directly,
+    /// `Step::run` on a [`SimClock`] over the lane; the lanes a longer block
+    /// misses replay it step by step, each step's own fast-path test first
+    /// and `Step::run` where that test fails.
     fn run_steps<S: BatchFailureSource>(
         &self,
         source: &mut S,
@@ -271,35 +371,60 @@ impl BatchProgram {
         steps: Range<usize>,
     ) {
         let lanes = state.lanes();
-        for &step in &self.steps[steps] {
+        for block in self.blocks(steps) {
+            let block = &self.steps[block];
+            let (terms, n) = block_terms(block);
             let (now, next_failure) = (&mut state.now[..lanes], &state.next_failure[..lanes]);
-            match step {
-                Step::Period { work, ckpt } => {
-                    fast_pass_two(now, next_failure, &mut state.interrupted, work, ckpt)
-                }
-                Step::Forced { cost } | Step::AbftWork { work: cost } | Step::AbftCkpt { cost } => {
-                    fast_pass_one(now, next_failure, &mut state.interrupted, cost)
+            if let [step] = *block {
+                fast_pass(now, next_failure, &mut state.interrupted, &terms[..n]);
+                self.slow_path(source, state, step);
+            } else {
+                fast_pass(now, next_failure, &mut state.missed, &terms[..n]);
+                for &step in block {
+                    state.replay_test(step);
+                    self.slow_path(source, state, step);
                 }
             }
-            // Interrupted lanes rerun the step from its start on their own
-            // clock; indexing the worklist (instead of holding a borrow on
-            // it) keeps `state` free for the per-lane load/store.
-            for k in 0..state.interrupted.len() {
-                let lane = state.interrupted[k] as usize;
-                let mut clock = SimClock::resume(
-                    BatchLane {
-                        source: &mut *source,
-                        lane,
-                    },
-                    state.now[lane],
-                    state.next_failure[lane],
-                    state.failures[lane],
-                );
-                step.run(&mut clock, &self.plan);
-                state.now[lane] = clock.now();
-                state.next_failure[lane] = clock.next_failure_time();
-                state.failures[lane] = clock.failures();
-            }
+        }
+    }
+
+    /// The blocks [`BatchProgram::run_steps`] takes over `steps`, in order:
+    /// from each block's first step, the greedy block of `block_len` under
+    /// the plan's full period, cut at the end of `steps` — so no block
+    /// crosses the paired driver's fork point.
+    fn blocks(&self, steps: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
+        let mut start = steps.start;
+        std::iter::from_fn(move || {
+            (start < steps.end).then(|| {
+                let len = block_len(&self.steps[start..steps.end], self.plan.full_period);
+                let block = start..start + len;
+                start = block.end;
+                block
+            })
+        })
+    }
+
+    /// Reruns `step` from its start for every `interrupted` lane, in
+    /// order, on a [`SimClock`] over that lane's own failure source — the
+    /// slow path, `Step::run`.
+    fn slow_path<S: BatchFailureSource>(&self, source: &mut S, state: &mut BatchState, step: Step) {
+        // Indexing the worklist (instead of holding a borrow on it) keeps
+        // `state` free for the per-lane load/store.
+        for k in 0..state.interrupted.len() {
+            let lane = state.interrupted[k] as usize;
+            let mut clock = SimClock::resume(
+                BatchLane {
+                    source: &mut *source,
+                    lane,
+                },
+                state.now[lane],
+                state.next_failure[lane],
+                state.failures[lane],
+            );
+            step.run(&mut clock, &self.plan);
+            state.now[lane] = clock.now();
+            state.next_failure[lane] = clock.next_failure_time();
+            state.failures[lane] = clock.failures();
         }
     }
 
@@ -1110,6 +1235,146 @@ mod tests {
         replanned.plan.recovery += 1.0;
         assert_eq!(shared_prefix(&[&program, &replanned]), 0);
         assert_eq!(shared_prefix(&[&program, &program.clone()]), full);
+    }
+
+    /// The kinds of the steps of each block [`BatchProgram::run_steps`]
+    /// walks over `range`: `P`eriod, `F`orced, ABFT `W`ork, ABFT `C`kpt.
+    fn block_shapes(program: &BatchProgram, range: Range<usize>) -> Vec<String> {
+        program
+            .blocks(range)
+            .map(|block| {
+                program.steps[block]
+                    .iter()
+                    .map(|step| match step {
+                        Step::Period { .. } => 'P',
+                        Step::Forced { .. } => 'F',
+                        Step::AbftWork { .. } => 'W',
+                        Step::AbftCkpt { .. } => 'C',
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fig9_abft_epochs_fuse_and_pure_periods_stay_single() {
+        let scenario = WeakScalingScenario::figure9();
+        for nodes in [1e5, 1.4e5, 2e5] {
+            let params = scenario.params_at(nodes).unwrap();
+            let engine = Engine::new(&params);
+            let profile = ApplicationProfile::uniform(
+                scenario.epochs,
+                scenario.general_duration(nodes),
+                scenario.library_duration(nodes),
+            )
+            .unwrap();
+            // Each epoch's short GENERAL period, ABFT work and exit
+            // checkpoint fit in one full period, and where the next
+            // epoch's period fits too, blocks shift to W/C/P: one pass per
+            // epoch instead of three.
+            let abft = BatchProgram::compile(Protocol::AbftPeriodicCkpt, &profile, engine.plan());
+            let shapes = block_shapes(&abft, 0..abft.len());
+            assert!(
+                shapes
+                    .iter()
+                    .all(|s| ["PWC", "PWCP", "WCP", "WC"].contains(&s.as_str())),
+                "{nodes}: {shapes:?}"
+            );
+            assert!(
+                shapes.len() <= scenario.epochs + 1,
+                "{nodes}: {} blocks",
+                shapes.len()
+            );
+            // Two full periods exceed the cap, so PurePeriodic's stream
+            // keeps one pass per step.
+            let pure = BatchProgram::compile(Protocol::PurePeriodicCkpt, &profile, engine.plan());
+            assert!(pure.len() > 1);
+            assert_eq!(
+                block_shapes(&pure, 0..pure.len()),
+                vec!["P"; pure.len()],
+                "{nodes}"
+            );
+        }
+    }
+
+    /// The length of the block that would start at each step of `steps`.
+    fn block_lengths(steps: &[Step], cap: f64) -> Vec<usize> {
+        (0..steps.len())
+            .map(|start| block_len(&steps[start..], cap))
+            .collect()
+    }
+
+    #[test]
+    fn a_negative_or_non_finite_cost_stops_fusion() {
+        let short = Step::Period {
+            work: 100.0,
+            ckpt: 10.0,
+        };
+        // Zero-cost steps fuse: their terms are finite and non-negative.
+        let zero = [
+            short,
+            Step::Forced { cost: 0.0 },
+            Step::AbftCkpt { cost: -0.0 },
+            short,
+        ];
+        assert_eq!(block_lengths(&zero, 1e4), vec![4, 3, 2, 1]);
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // A bad step is a block of its own and ends the block before it.
+            let steps = [short, Step::AbftWork { work: bad }, short, short];
+            assert_eq!(block_lengths(&steps, 1e4), vec![1, 1, 2, 1], "{bad}");
+            let steps = [
+                short,
+                Step::Period {
+                    work: 1.0,
+                    ckpt: bad,
+                },
+                short,
+            ];
+            assert_eq!(block_lengths(&steps, 1e4), vec![1, 1, 1], "{bad}");
+        }
+        // A zero, negative or NaN cap fuses nothing.
+        for cap in [0.0, -1.0, f64::NAN] {
+            assert_eq!(block_lengths(&[short; 4], cap), vec![1; 4], "{cap}");
+        }
+        // The summed cost may reach the cap; the step count is bounded.
+        assert_eq!(block_lengths(&[short; 4], 220.0), vec![2, 2, 2, 1]);
+        assert_eq!(
+            block_lengths(&[short; 12], f64::INFINITY)[..5],
+            [8, 8, 8, 8, 8]
+        );
+    }
+
+    #[test]
+    fn blocks_end_at_the_end_of_the_step_range() {
+        // BiPeriodic and the composite share the long GENERAL phase of the
+        // first epoch, which ends in a short period that fuses with what
+        // follows it in both programs.
+        let engine = fig7_engine(FailureSpec::Exponential);
+        let plan = engine.plan();
+        let general = 2.0 * (plan.full_period - plan.ckpt_full) + 500.0;
+        let profile = ApplicationProfile::uniform(2, general, 500.0).unwrap();
+        let programs: Vec<BatchProgram> = [Protocol::BiPeriodicCkpt, Protocol::AbftPeriodicCkpt]
+            .map(|p| BatchProgram::compile(p, &profile, plan))
+            .into();
+        let prefix = shared_prefix(&[&programs[0], &programs[1]]);
+        assert_eq!(prefix, 3);
+        for program in &programs {
+            let len = program.len();
+            let run = program.blocks(prefix - 1..len).next().unwrap();
+            assert!(run.end > prefix, "{run:?} does not cross step {prefix}");
+            assert_eq!(block_shapes(program, 0..prefix), ["P", "P", "P"]);
+            for range in [0..len, 0..prefix, prefix..len, 1..len - 1, 3..4, 2..2] {
+                let blocks: Vec<Range<usize>> = program.blocks(range.clone()).collect();
+                // The blocks tile the range exactly.
+                let mut next = range.start;
+                for block in &blocks {
+                    assert_eq!(block.start, next, "{range:?}: {blocks:?}");
+                    assert!(block.end > block.start && block.end <= range.end);
+                    next = block.end;
+                }
+                assert_eq!(next, range.end, "{range:?}: {blocks:?}");
+            }
+        }
     }
 
     #[test]

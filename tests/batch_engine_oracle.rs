@@ -14,9 +14,12 @@
 //! fast path can switch engines freely without perturbing a single figure.
 
 use abft_ckpt_composite::composite::params::ModelParams;
+use abft_ckpt_composite::composite::scaling::WeakScalingScenario;
 use abft_ckpt_composite::composite::scenario::ApplicationProfile;
 use abft_ckpt_composite::platform::batch::BatchTraceBuffer;
-use abft_ckpt_composite::platform::failure::{AnyFailureModel, FailureModel, FailureSpec};
+use abft_ckpt_composite::platform::failure::{
+    AnyFailureModel, ExponentialFailures, FailureModel, FailureSpec,
+};
 use abft_ckpt_composite::platform::rng::SeedStream;
 use abft_ckpt_composite::platform::scenario::ScenarioSpec;
 use abft_ckpt_composite::platform::units::{hours, minutes};
@@ -635,6 +638,166 @@ fn paired_accumulation_is_bit_identical_under_batching() {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// A fig9 weak-scaling point: its engine, drawing failures from
+/// exponential arrivals of mean `mtbf` (the point's own MTBF when `None`)
+/// while its period plan — and so the batch engine's fused blocks — stays
+/// the point's own, and the scenario's `epochs`-epoch profile.
+fn fig9_point(nodes: f64, mtbf: Option<f64>, epochs: usize) -> (Engine, ApplicationProfile) {
+    fig9_point_of(&WeakScalingScenario::figure9(), nodes, mtbf, epochs)
+}
+
+fn fig9_point_of(
+    scenario: &WeakScalingScenario,
+    nodes: f64,
+    mtbf: Option<f64>,
+    epochs: usize,
+) -> (Engine, ApplicationProfile) {
+    let params = scenario.params_at(nodes).unwrap();
+    let mtbf = mtbf.unwrap_or(params.platform_mtbf);
+    let model = AnyFailureModel::Exponential(ExponentialFailures::new(mtbf).unwrap());
+    let profile = ApplicationProfile::uniform(
+        epochs,
+        scenario.general_duration(nodes),
+        scenario.library_duration(nodes),
+    )
+    .unwrap();
+    (Engine::with_failure_model(&params, model), profile)
+}
+
+/// Checks every lane of `protocol`'s batch over `seeds` against the scalar
+/// oracle, returning the failures the lanes met.
+fn check_lanes(
+    engine: &Engine,
+    protocol: Protocol,
+    profile: &ApplicationProfile,
+    seeds: &[u64],
+    label: &str,
+) -> usize {
+    let batch = simulate_profile_batch(engine, protocol, profile, &mut streams(engine, seeds));
+    let mut failures = 0;
+    for (lane, &seed) in seeds.iter().enumerate() {
+        let scalar = engine.simulate_profile(protocol, profile, seed);
+        assert_bit_identical(
+            &batch[lane],
+            &scalar,
+            &format!("{label} {protocol:?} lane {lane}"),
+        );
+        failures += scalar.failures;
+    }
+    failures
+}
+
+/// The shape the fused fast pass is for: fig9's composite program, whose
+/// epochs (short GENERAL period, ABFT work, exit checkpoint) each fit in
+/// one full period, at points around the Pure/ABFT crossover — and at the
+/// crossover itself at widths that leave every chunk-tail length of the
+/// eight-lane kernel.
+#[test]
+fn fused_fig9_points_around_the_crossover_are_bit_exact_at_chunk_tails() {
+    for (nodes, widths) in [
+        (1.4e5, &[1usize, 7, 8, 9, 127, 129][..]),
+        (1e5, &[129][..]),
+        (2e5, &[129][..]),
+    ] {
+        let (engine, profile) = fig9_point(nodes, None, 1000);
+        for &width in widths {
+            let seeds = lane_seeds(0xF19 ^ width as u64, width);
+            for protocol in [Protocol::PurePeriodicCkpt, Protocol::AbftPeriodicCkpt] {
+                check_lanes(
+                    &engine,
+                    protocol,
+                    &profile,
+                    &seeds,
+                    &format!("fig9 {nodes} width {width}"),
+                );
+            }
+        }
+    }
+}
+
+/// Fused blocks at the two extremes of the miss rate, on fig9's plan: an
+/// MTBF of 2000 s against ~20 000 s blocks, where nearly every block misses
+/// and replays step by step, and an MTBF of 10¹² s, where none does.  (At
+/// 2000 s PurePeriodic's ~25 000 s periods would almost never complete;
+/// the composite's ABFT work progresses through its failures.)
+#[test]
+fn fused_blocks_that_all_miss_or_all_commit_are_bit_exact() {
+    let seeds = lane_seeds(0xB10C, 129);
+    for (mtbf, epochs, protocols) in [
+        (2000.0, 20, &[Protocol::AbftPeriodicCkpt][..]),
+        (
+            1e12,
+            1000,
+            &[Protocol::PurePeriodicCkpt, Protocol::AbftPeriodicCkpt][..],
+        ),
+    ] {
+        let (engine, profile) = fig9_point(1.4e5, Some(mtbf), epochs);
+        for &protocol in protocols {
+            let failures =
+                check_lanes(&engine, protocol, &profile, &seeds, &format!("MTBF {mtbf}"));
+            if mtbf < 1e4 {
+                assert!(
+                    failures >= seeds.len() * epochs,
+                    "{protocol:?}: only {failures} failures — blocks do not all miss"
+                );
+            } else {
+                assert_eq!(failures, 0, "{protocol:?}: a block missed");
+            }
+        }
+    }
+}
+
+/// Zero-cost checkpoints are finite, non-negative terms, so they fuse: ρ = 1
+/// zeroes the composite's REMAINDER checkpoint (each epoch's short GENERAL
+/// period ends in it), ρ = 0 its LIBRARY exit checkpoint and BiPeriodic's
+/// LIBRARY-stream checkpoints.
+#[test]
+fn zero_cost_checkpoint_steps_fuse_bit_exactly() {
+    for rho in [1.0, 0.0] {
+        let scenario = WeakScalingScenario {
+            rho,
+            ..WeakScalingScenario::figure9()
+        };
+        let (engine, profile) = fig9_point_of(&scenario, 1.4e5, None, 200);
+        let plan = engine.plan();
+        assert_eq!(plan.ckpt_remainder.min(plan.ckpt_library), 0.0, "ρ = {rho}");
+        let seeds = lane_seeds(0x2E50 ^ rho.to_bits(), 37);
+        for protocol in Protocol::all() {
+            check_lanes(&engine, protocol, &profile, &seeds, &format!("ρ = {rho}"));
+        }
+    }
+}
+
+/// A paired antithetic pass whose shared step prefix ends inside a fusable
+/// run: BiPeriodic and the composite share the long GENERAL phase of the
+/// first epoch, whose short last period fuses with the LIBRARY steps that
+/// follow it in both programs — different ones in each.  A block that
+/// crossed the fork point would carry the first program's LIBRARY steps
+/// into the second's.
+#[test]
+fn paired_prefix_ending_inside_a_fusable_run_is_bit_exact() {
+    for spec in [
+        FailureSpec::Exponential,
+        FailureSpec::Weibull { shape: 0.7 },
+    ] {
+        let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
+        let engine = Engine::with_failure_spec(&params, spec).unwrap();
+        let plan = engine.plan();
+        let general = 2.0 * (plan.full_period - plan.ckpt_full) + 500.0;
+        let profile = ApplicationProfile::uniform(3, general, 500.0).unwrap();
+        let bi_abft = [Protocol::BiPeriodicCkpt, Protocol::AbftPeriodicCkpt];
+        let abft_bi = [Protocol::AbftPeriodicCkpt, Protocol::BiPeriodicCkpt];
+        for protocols in [bi_abft, abft_bi] {
+            let plan = ReplicationPlan::new(ReplicationBudget::Fixed(150)).antithetic(true);
+            let scalar = accumulate_paired_engine(&engine, &protocols, &profile, plan, 41);
+            for lanes in [7usize, 128] {
+                let batch = batch_paired(&engine, &protocols, &profile, plan, 41, lanes, 1);
+                assert_eq!(scalar, batch, "{spec} {protocols:?} lanes={lanes}");
             }
         }
     }
