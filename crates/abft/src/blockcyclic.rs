@@ -7,13 +7,12 @@
 //! distributed memory (see the crate documentation).
 
 use ft_platform::grid::ProcessGrid;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{AbftError, Result};
 use crate::matrix::Matrix;
 
 /// 2-D block-cyclic ownership map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockCyclicLayout {
     grid: ProcessGrid,
     nb: usize,
@@ -73,7 +72,7 @@ impl BlockCyclicLayout {
 
 /// A global matrix together with its (virtual) distribution, able to simulate
 /// the loss of one process's data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistributedMatrix {
     data: Matrix,
     layout: BlockCyclicLayout,

@@ -17,14 +17,12 @@
 //!   block) accumulates the group sum.  A single process failure then loses
 //!   at most one member per group, which is recoverable from the group sum.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{AbftError, Result};
 use crate::matrix::Matrix;
 
 /// A set of `k` weight vectors of length `n`, defining a checksum encoding
 /// that tolerates up to `k` simultaneous erasures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChecksumWeights {
     k: usize,
     n: usize,
@@ -323,7 +321,7 @@ fn solve_small(a: &[f64], b: &[f64], m: usize) -> Result<Vec<f64>> {
 /// `j % nb`.  The checksum storage reserves `nb` columns per group; the
 /// checksum column protecting `j` is `g * nb + (j % nb)` (relative to the
 /// start of the checksum region).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupMap {
     /// Extent of the indexed dimension (number of data columns or rows).
     pub n: usize,

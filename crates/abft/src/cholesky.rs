@@ -12,7 +12,6 @@
 //! well-tested recovery path for both factorizations.
 
 use ft_platform::grid::ProcessGrid;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{AbftError, Result};
 use crate::lu::AbftLu;
@@ -52,7 +51,7 @@ pub fn plain_cholesky(a: &Matrix) -> Result<Matrix> {
 }
 
 /// ABFT-protected Cholesky factorization of an SPD matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AbftCholesky {
     inner: AbftLu,
 }

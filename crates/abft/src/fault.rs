@@ -7,12 +7,11 @@
 
 use ft_platform::grid::ProcessGrid;
 use ft_platform::rng::{DeterministicRng, Xoshiro256};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{AbftError, Result};
 
 /// A recorded injected failure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectedFault {
     /// Rank that was killed.
     pub rank: usize,

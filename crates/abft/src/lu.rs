@@ -21,7 +21,6 @@
 
 use ft_platform::grid::ProcessGrid;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::checksum::GroupMap;
 use crate::error::{AbftError, Result};
@@ -180,7 +179,7 @@ enum Zone {
 }
 
 /// ABFT LU factorization state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AbftLu {
     n: usize,
     nb: usize,

@@ -8,7 +8,6 @@
 
 use ft_platform::rng::{DeterministicRng, Xoshiro256};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{AbftError, Result};
 
@@ -27,7 +26,7 @@ const MR: usize = 4;
 const NR: usize = 8;
 
 /// A dense row-major matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -12,14 +12,13 @@
 
 use ft_platform::clock::Stopwatch;
 use ft_platform::grid::ProcessGrid;
-use serde::{Deserialize, Serialize};
 
 use crate::error::Result;
 use crate::lu::{plain_lu, AbftLu};
 use crate::matrix::Matrix;
 
 /// Measured overheads of the ABFT LU substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverheadReport {
     /// Matrix order used for the measurement.
     pub n: usize,

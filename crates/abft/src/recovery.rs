@@ -9,7 +9,6 @@
 //! it took so that the model parameter can be calibrated from measurements.
 
 use ft_platform::clock::Stopwatch;
-use serde::{Deserialize, Serialize};
 
 use crate::blockcyclic::DistributedMatrix;
 use crate::checksum::GroupMap;
@@ -18,7 +17,7 @@ use crate::matrix::Matrix;
 
 /// A distributed matrix kept encoded with per-group column checksums so that
 /// any single process failure can be repaired in place.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProtectedDataset {
     matrix: DistributedMatrix,
     /// One checksum column per column class per group: `rows × extent`.
@@ -27,7 +26,7 @@ pub struct ProtectedDataset {
 }
 
 /// Summary of a reconstruction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconstructionOutcome {
     /// Rank whose data was rebuilt.
     pub rank: usize,

@@ -49,13 +49,12 @@ use ft_sim::replicate::{PairedAccumulator, ReplicationBudget, ReplicationPlan, S
 use ft_sim::validate::model_waste_with;
 use ft_sim::{Engine, Protocol};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::output::{OutputFormat, Table};
 use crate::Args;
 
 /// A sweepable quantity: one dimension of the experiment grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parameter {
     /// LIBRARY-phase fraction `α`.
     Alpha,
@@ -134,7 +133,7 @@ impl Parameter {
 }
 
 /// One dimension of the sweep grid: a parameter and its values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Axis {
     /// The swept parameter.
     pub parameter: Parameter,
@@ -188,7 +187,7 @@ impl std::error::Error for SweepError {}
 
 /// A declarative sweep: everything needed to expand and execute one
 /// experiment grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Human-readable experiment title (printed as the output header).
     pub name: String,

@@ -8,12 +8,10 @@
 //! process; the interesting part for the study is *what* is captured and how
 //! many bytes it amounts to, which is what drives the checkpoint cost `C`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::state::{DatasetKind, ProcessSet};
 
 /// Snapshot of one memory region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionSnapshot {
     /// Region id within its process.
     pub region_id: usize,
@@ -26,7 +24,7 @@ pub struct RegionSnapshot {
 }
 
 /// Snapshot of one process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessSnapshot {
     /// Rank of the captured process.
     pub rank: usize,
@@ -44,7 +42,7 @@ impl ProcessSnapshot {
 }
 
 /// A complete coordinated checkpoint of a process set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoordinatedCheckpoint {
     /// Application time (seconds) at which the checkpoint was taken.
     pub time: f64,

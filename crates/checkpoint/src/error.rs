@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Errors produced by checkpoint construction, storage and restoration.
+/// Errors produced by checkpoint construction, composition and restoration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CkptError {
     /// The referenced process rank does not exist in the process set.
@@ -40,16 +40,6 @@ pub enum CkptError {
     /// A split checkpoint was assembled from partial checkpoints that do not
     /// cover complementary datasets.
     IncompatiblePartials,
-    /// A restore was requested but the store holds no suitable checkpoint.
-    NoCheckpointAvailable,
-    /// Attempted to register a checkpoint with a timestamp earlier than the
-    /// newest stored one.
-    NonMonotonicTimestamp {
-        /// Timestamp of the newest stored checkpoint.
-        newest: u64,
-        /// The (earlier) timestamp that was offered.
-        offered: u64,
-    },
 }
 
 impl fmt::Display for CkptError {
@@ -79,11 +69,6 @@ impl fmt::Display for CkptError {
             CkptError::IncompatiblePartials => {
                 write!(f, "partial checkpoints do not cover complementary datasets")
             }
-            CkptError::NoCheckpointAvailable => write!(f, "no checkpoint available to restore from"),
-            CkptError::NonMonotonicTimestamp { newest, offered } => write!(
-                f,
-                "checkpoint timestamp {offered} is older than the newest stored checkpoint {newest}"
-            ),
         }
     }
 }

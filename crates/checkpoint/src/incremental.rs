@@ -16,14 +16,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::coordinated::{CoordinatedCheckpoint, ProcessSnapshot, RegionSnapshot};
 use crate::error::{CkptError, Result};
 use crate::state::ProcessSet;
 
 /// A checkpoint containing only the regions modified since a baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalCheckpoint {
     /// Application time at which the increment was taken.
     pub time: f64,

@@ -13,8 +13,6 @@
 //! * [`incremental`] — incremental checkpoints capturing only the regions
 //!   modified since the previous checkpoint (paper §III-B);
 //! * [`restore`] — rollback recovery, full or partial;
-//! * [`store`] — checkpoint repositories with storage-cost accounting on top
-//!   of the `ft-platform` storage models;
 //! * [`frame`] — the checksummed frame wire format checkpoints are
 //!   serialized into (header/chunks/trailer, each carrying a checksum);
 //! * [`backend`] — pluggable stores for serialized streams: in-memory,
@@ -25,13 +23,14 @@
 //!   bounded deterministic retry/backoff for transients;
 //! * [`pipeline`] — the durable pipeline tying the above together: commit
 //!   full/delta/partial/state generations, restore the newest *verifiable*
-//!   one with graceful walk-back, and measure per-generation
-//!   write/verify/restore costs.
+//!   one with graceful walk-back, retain the newest generations, and
+//!   measure per-generation write/verify/restore costs.
 //!
-//! The substrate is exercised directly by unit/property tests, by the
-//! integration tests at the workspace root, and by `ft-sim`'s protocol
-//! executors when they need actual dataset semantics (what exactly is
-//! restored after a rollback) rather than just costs.
+//! The substrate gives `ft-composite`'s composite protocol runtime actual
+//! dataset semantics (what exactly is restored after a rollback), and its
+//! pipeline persists `ft-sim`'s crash-resume snapshots.  The simulator's
+//! protocol executors charge checkpoint costs from the model parameters and
+//! never touch it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +45,6 @@ pub mod partial;
 pub mod pipeline;
 pub mod restore;
 pub mod state;
-pub mod store;
 pub mod verify;
 
 pub use backend::{
@@ -64,5 +62,4 @@ pub use pipeline::{
 };
 pub use restore::{restore_full, restore_partial, RestoreReport};
 pub use state::{DatasetKind, MemoryRegion, ProcessSet, ProcessState};
-pub use store::{CheckpointStore, StoredCheckpoint};
 pub use verify::{fetch_verified, RestoreFault, RetryPolicy, VerifiedStream};

@@ -12,14 +12,12 @@
 //! is equivalent to a full coordinated checkpoint taken at the end of the
 //! call — that is [`SplitCheckpoint::into_coordinated`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::coordinated::{CoordinatedCheckpoint, ProcessSnapshot, RegionSnapshot};
 use crate::error::{CkptError, Result};
 use crate::state::{DatasetKind, ProcessSet};
 
 /// A checkpoint covering only one dataset of every process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartialCheckpoint {
     /// Which dataset is covered.
     pub kind: DatasetKind,
@@ -66,7 +64,7 @@ impl PartialCheckpoint {
 /// checkpoint (REMAINDER dataset, taken when entering the library call)
 /// completed by the exit partial checkpoint (LIBRARY dataset, taken when the
 /// call returns).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitCheckpoint {
     /// REMAINDER-dataset checkpoint taken at library entry.
     pub entry: PartialCheckpoint,

@@ -1,14 +1,12 @@
 //! Rollback recovery: applying checkpoints back onto a process set.
 
-use serde::{Deserialize, Serialize};
-
 use crate::coordinated::CoordinatedCheckpoint;
 use crate::error::{CkptError, Result};
 use crate::partial::PartialCheckpoint;
 use crate::state::ProcessSet;
 
 /// Summary of what a restore operation touched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreReport {
     /// Number of processes whose state was (at least partly) rewritten.
     pub ranks_restored: usize,

@@ -8,12 +8,10 @@
 //! counter bumped on every write, which is what incremental checkpoints use
 //! to find dirty data.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{CkptError, Result};
 
 /// Which dataset a memory region belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Data accessed (and recoverable) by the ABFT-protected library call.
     Library,
@@ -33,7 +31,7 @@ impl DatasetKind {
 }
 
 /// A contiguous, tagged region of a process's memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryRegion {
     /// Identifier of the region, unique within its process.
     pub id: usize,
@@ -233,7 +231,7 @@ fn fold_words(words: impl Iterator<Item = u64>) -> u64 {
 }
 
 /// The full state of one (virtual) process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessState {
     rank: usize,
     regions: Vec<MemoryRegion>,
@@ -352,7 +350,7 @@ impl ProcessState {
 }
 
 /// A set of processes that checkpoint and recover together.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessSet {
     processes: Vec<ProcessState>,
 }

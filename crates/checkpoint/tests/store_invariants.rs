@@ -1,103 +1,164 @@
-//! Property-based invariants of the checkpoint repositories.
+//! Property-based invariants of the checkpoint store.
 //!
-//! [`CheckpointStore`] sits on the protocol executors' failure path — its
-//! retention, ordering and accounting behaviour must hold for *any* push
-//! sequence, not just the ones the unit tests script.
+//! [`CheckpointPipeline`] over a [`MemoryBackend`] is the one checkpoint
+//! store: its retention, restore and cost-accounting behaviour must hold for
+//! *any* sequence of full and delta commits interleaved with
+//! `retain_latest`, not just the ones the unit tests script.
 
+use std::collections::BTreeMap;
+
+use ft_ckpt::backend::MemoryBackend;
 use ft_ckpt::coordinated::CoordinatedCheckpoint;
 use ft_ckpt::incremental::IncrementalCheckpoint;
+use ft_ckpt::pipeline::{CheckpointPipeline, PipelineOp};
 use ft_ckpt::restore::{restore_full, restore_partial};
 use ft_ckpt::state::{DatasetKind, ProcessSet};
-use ft_ckpt::store::CheckpointStore;
-use ft_platform::storage::{BandwidthBound, StorageModel};
+use ft_platform::checksum::Crc32;
 use proptest::prelude::*;
 
-/// One scripted push: region sizes of the captured set and the time step
-/// since the previous checkpoint.
-fn arb_pushes() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
-    prop::collection::vec((1usize..200, 0usize..100, 0.0f64..50.0), 1..24)
+type Store = CheckpointPipeline<Crc32, MemoryBackend>;
+
+/// One scripted commit: delta (`true`) or full, a pick among the retained
+/// generations for a delta's base, a bit mask of the regions rewritten
+/// before the commit, and the `retain_latest` bound applied after it
+/// (`0`: no eviction).
+type Commit = (bool, usize, u8, usize);
+
+fn arb_script() -> impl Strategy<Value = Vec<Commit>> {
+    prop::collection::vec(
+        (
+            (0u8..2).prop_map(|d| d == 1),
+            0usize..64,
+            0u8..16,
+            0usize..5,
+        ),
+        1..24,
+    )
 }
 
-fn store(retention: usize) -> CheckpointStore<BandwidthBound> {
-    CheckpointStore::new(BandwidthBound::new(1000.0, 0.0).unwrap(), 2, retention)
+/// What the script committed: the image each generation must restore to,
+/// and the base of every delta.
+#[derive(Default)]
+struct Ledger {
+    images: BTreeMap<u64, CoordinatedCheckpoint>,
+    bases: BTreeMap<u64, u64>,
+    ops: Vec<PipelineOp>,
+}
+
+/// Rewrites the regions `mask` selects (two ranks × two regions), commits
+/// a full or delta generation of the result, and records it in `ledger`.
+fn commit(store: &mut Store, set: &mut ProcessSet, ledger: &mut Ledger, step: usize, c: Commit) {
+    let (delta, pick, mask, _) = c;
+    for (rank, p) in set.iter_mut().enumerate() {
+        let ids: Vec<usize> = p.regions().iter().map(|r| r.id).collect();
+        for (slot, id) in ids.into_iter().enumerate() {
+            if (mask >> (2 * rank + slot)) & 1 == 1 {
+                p.region_mut(id).unwrap().update(|d| {
+                    d.iter_mut()
+                        .for_each(|b| *b = b.wrapping_add(step as u8 + 1));
+                });
+            }
+        }
+    }
+    let time = (step + 1) as f64;
+    let image = CoordinatedCheckpoint::capture(set, time);
+    let retained = store.generations();
+    let generation = if delta && !retained.is_empty() {
+        let base = retained[pick % retained.len()];
+        let inc = IncrementalCheckpoint::capture_since(set, &ledger.images[&base], time);
+        let generation = store.commit_delta(&inc, base).unwrap();
+        ledger.bases.insert(generation, base);
+        ledger.ops.push(PipelineOp::WriteDelta);
+        generation
+    } else {
+        let generation = store.commit_full(&image).unwrap();
+        ledger.ops.push(PipelineOp::WriteFull);
+        generation
+    };
+    ledger.images.insert(generation, image);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The store never retains more than `retention` checkpoints, evicts
-    /// oldest-first, and keeps what it retains sorted by time and sequence.
+    /// `retain_latest(k)` keeps the newest `k` generations and the whole
+    /// base chain of every kept delta, and deletes everything else.
     #[test]
-    fn retention_bound_and_ordering_hold(pushes in arb_pushes(), retention in 1usize..6) {
-        let mut store = store(retention);
-        let mut time = 0.0;
-        for (i, &(lib, rem, dt)) in pushes.iter().enumerate() {
-            time += dt;
-            let set = ProcessSet::uniform(2, lib, rem);
-            store.push(CoordinatedCheckpoint::capture(&set, time)).unwrap();
-            prop_assert!(store.len() <= store.retention());
-            prop_assert_eq!(store.len(), (i + 1).min(retention));
-            // Oldest-first eviction ⇒ the newest push always survives.
-            prop_assert_eq!(store.latest().unwrap().sequence, i as u64);
-        }
-        let kept = store.checkpoints();
-        for pair in kept.windows(2) {
-            prop_assert!(pair[0].time <= pair[1].time);
-            prop_assert!(pair[0].sequence < pair[1].sequence);
-        }
-    }
-
-    /// `latest_before` is monotone in its argument and always returns the
-    /// newest retained checkpoint not younger than the query.
-    #[test]
-    fn latest_before_is_monotone_and_maximal(pushes in arb_pushes(), retention in 1usize..6) {
-        let mut store = store(retention);
-        let mut time = 0.0;
-        for &(lib, rem, dt) in &pushes {
-            time += dt;
-            let set = ProcessSet::uniform(2, lib, rem);
-            store.push(CoordinatedCheckpoint::capture(&set, time)).unwrap();
-        }
-        let horizon = time + 1.0;
-        let mut last: Option<f64> = None;
-        let mut query = 0.0;
-        while query <= horizon {
-            let found = store.latest_before(query).map(|c| c.time);
-            if let Some(t) = found {
-                prop_assert!(t <= query);
-                // Maximality: no retained checkpoint sits in (t, query].
-                for c in store.checkpoints() {
-                    prop_assert!(!(c.time > t && c.time <= query));
-                }
-                // Monotonicity: a later query never returns an older image.
-                if let Some(prev) = last {
-                    prop_assert!(t >= prev);
-                }
-                last = Some(t);
-            } else {
-                prop_assert!(last.is_none(), "result vanished as the query grew");
+    fn retention_keeps_the_newest_generations_and_their_base_chains(script in arb_script()) {
+        let mut store = Store::new(Crc32::new(), MemoryBackend::new());
+        let mut set = ProcessSet::uniform(2, 48, 32);
+        let mut ledger = Ledger::default();
+        for (step, &c) in script.iter().enumerate() {
+            commit(&mut store, &mut set, &mut ledger, step, c);
+            let keep = c.3;
+            if keep == 0 {
+                continue;
             }
-            query += horizon / 16.0;
+            let before = store.generations();
+            store.retain_latest(keep).unwrap();
+            let after = store.generations();
+            let newest: Vec<u64> = before.iter().rev().take(keep).copied().collect();
+            for g in &newest {
+                prop_assert!(after.contains(g), "newest generation {} evicted", g);
+            }
+            // Every kept generation is one of the newest or a base reached
+            // from one, and every kept delta's base is kept too.
+            let mut reachable = newest.clone();
+            let mut frontier = newest;
+            while let Some(g) = frontier.pop() {
+                if let Some(&base) = ledger.bases.get(&g) {
+                    if !reachable.contains(&base) {
+                        reachable.push(base);
+                        frontier.push(base);
+                    }
+                }
+            }
+            reachable.sort_unstable();
+            prop_assert_eq!(&after, &reachable);
         }
     }
 
-    /// Accounting is conserved across eviction: cumulative bytes/cost keep
-    /// every push ever made, no matter how many images were pruned.
+    /// Whatever was evicted, `restore_latest` rebuilds the newest
+    /// generation's image exactly, without falling back.
     #[test]
-    fn accounting_is_conserved_across_eviction(pushes in arb_pushes(), retention in 1usize..4) {
-        let mut store = store(retention);
-        let mut time = 0.0;
-        let mut expected_bytes = 0.0;
-        for &(lib, rem, dt) in &pushes {
-            time += dt;
-            let set = ProcessSet::uniform(2, lib, rem);
-            expected_bytes += set.total_footprint() as f64;
-            store.push(CoordinatedCheckpoint::capture(&set, time)).unwrap();
+    fn restore_latest_returns_the_newest_image(script in arb_script()) {
+        let mut store = Store::new(Crc32::new(), MemoryBackend::new());
+        let mut set = ProcessSet::uniform(2, 48, 32);
+        let mut ledger = Ledger::default();
+        for (step, &c) in script.iter().enumerate() {
+            commit(&mut store, &mut set, &mut ledger, step, c);
+            if c.3 > 0 {
+                store.retain_latest(c.3).unwrap();
+            }
         }
-        prop_assert!((store.total_bytes_written() - expected_bytes).abs() < 1e-6);
-        // BandwidthBound at 1000 B/s, 2 nodes ⇒ cost is volume-proportional.
-        let expected_cost = store.storage().write_cost(expected_bytes, 2);
-        prop_assert!((store.total_write_cost() - expected_cost).abs() < 1e-6);
+        let (image, outcome) = store.restore_latest().unwrap();
+        let newest = *ledger.images.keys().next_back().unwrap();
+        prop_assert_eq!(outcome.generation, newest);
+        prop_assert_eq!(outcome.fallback_depth, 0);
+        prop_assert_eq!(&image, &ledger.images[&newest]);
+        prop_assert_eq!(&image, &CoordinatedCheckpoint::capture(&set, script.len() as f64));
+    }
+
+    /// Cost accounting survives eviction: `costs()` keeps one write record
+    /// per commit ever made, in commit order, however many were pruned.
+    #[test]
+    fn costs_keep_one_record_per_commit_across_eviction(script in arb_script()) {
+        let mut store = Store::new(Crc32::new(), MemoryBackend::new());
+        let mut set = ProcessSet::uniform(2, 48, 32);
+        let mut ledger = Ledger::default();
+        for (step, &c) in script.iter().enumerate() {
+            commit(&mut store, &mut set, &mut ledger, step, c);
+            if c.3 > 0 {
+                store.retain_latest(c.3).unwrap();
+            }
+        }
+        let costs = store.costs();
+        prop_assert_eq!(costs.len(), script.len());
+        for (generation, (cost, op)) in costs.iter().zip(&ledger.ops).enumerate() {
+            prop_assert_eq!(cost.generation, generation as u64);
+            prop_assert_eq!(cost.op, *op);
+            prop_assert!(cost.stored_bytes > cost.raw_bytes);
+        }
     }
 
     /// `restore_partial` / incremental-delta edge cases: an empty delta is

@@ -20,7 +20,6 @@ use ft_ckpt::frame::{decode_coordinated, encode_coordinated};
 use ft_ckpt::partial::PartialCheckpoint;
 use ft_ckpt::restore::{restore_full, restore_partial};
 use ft_ckpt::state::{DatasetKind, ProcessSet};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{ModelError, Result};
 use crate::params::ModelParams;
@@ -28,7 +27,7 @@ use crate::scenario::{ApplicationProfile, PhaseKind};
 use crate::young_daly::paper_optimal_period;
 
 /// One entry of the runtime's decision/event trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RuntimeEvent {
     /// A periodic coordinated checkpoint completed.
     PeriodicCheckpoint {
@@ -82,7 +81,7 @@ pub enum RuntimeEvent {
 }
 
 /// A failure scripted into a runtime execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannedFailure {
     /// Epoch during which the failure strikes.
     pub epoch: usize,
@@ -95,7 +94,7 @@ pub struct PlannedFailure {
 }
 
 /// Result of a runtime execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Total (simulated) wall-clock time of the run.
     pub total_time: f64,
@@ -130,7 +129,7 @@ impl RunReport {
 /// stored: at an epoch boundary it is a pure function of the process image
 /// (last refreshed at library exit, with no mutation since) and is
 /// recomputed on resume.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeSnapshot {
     /// Index of the next epoch to execute.
     pub next_epoch: usize,
@@ -489,16 +488,15 @@ impl CompositeRuntime {
             let epoch = &profile.epochs()[epoch_index];
             // ---- GENERAL phase -------------------------------------------------
             if epoch.general > 0.0 {
-                let phase_failures: Vec<&PlannedFailure> = failures
+                let mut phase_failures: Vec<&PlannedFailure> = failures
                     .iter()
                     .filter(|f| f.epoch == epoch_index && f.phase == PhaseKind::General)
                     .collect();
                 let mut executed = 0.0;
                 let mut since_checkpoint = 0.0;
                 // Sort scripted failures by position.
-                let mut pending = phase_failures.clone();
-                pending.sort_by(|a, b| a.fraction.total_cmp(&b.fraction));
-                let mut pending = pending.into_iter().peekable();
+                phase_failures.sort_by(|a, b| a.fraction.total_cmp(&b.fraction));
+                let mut pending = phase_failures.into_iter().peekable();
                 while executed < epoch.general {
                     let next_failure_at = pending
                         .peek()
@@ -528,8 +526,8 @@ impl CompositeRuntime {
                         self.clock += self.params.downtime + self.params.recovery_cost;
                         // All work since the last checkpoint is lost.
                         let lost = since_checkpoint;
+                        // The loop re-executes the lost work.
                         executed -= lost;
-                        self.clock += 0.0; // the lost work will be re-executed by the loop
                         since_checkpoint = 0.0;
                         self.events.push(RuntimeEvent::RollbackRecovery {
                             time: self.clock,

@@ -50,7 +50,6 @@
 //! share one failure description.
 
 use ft_platform::failure::FailureSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{ensure_positive, ModelError, Result};
 use crate::young_daly::paper_optimal_period;
@@ -115,7 +114,7 @@ pub trait WasteModel {
 /// This is the exact historical code path — the generic machinery
 /// instantiated with this model is bit-identical to the pre-refactor
 /// formulas (guarded by the engine-regression and scaling tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FirstOrderExponential;
 
 impl WasteModel for FirstOrderExponential {
@@ -175,7 +174,7 @@ impl WasteModel for FirstOrderExponential {
 /// `C/P = rework_k(P) / (µ − D − R)` (the generalisation of Equation (11),
 /// which it reduces to at `k = 1`) by damped fixed-point iteration seeded
 /// from the exponential period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeibullCorrected {
     shape: f64,
 }
@@ -285,7 +284,7 @@ impl WasteModel for WeibullCorrected {
 
 /// Enum dispatch over the two waste models, mirroring
 /// [`ft_platform::failure::AnyFailureModel`] on the analytic side.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AnyWasteModel {
     /// The paper's exponential first-order formulas.
     FirstOrder(FirstOrderExponential),

@@ -12,13 +12,11 @@
 //!   `T_final = T / X` with `X = (1 − C_p/P)(1 − (D + R + P/2)/µ)`
 //!   (Equations (7), (10) and (11)).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ModelError, Result};
 use crate::model::analytic::{FirstOrderExponential, WasteModel};
 
 /// Outcome of the phase formula.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseOutcome {
     /// Expected execution time of the phase, failures included.
     pub final_time: f64,

@@ -1,10 +1,8 @@
 //! The waste metric and per-protocol predictions.
 
-use serde::{Deserialize, Serialize};
-
 /// The waste of a protocol: the fraction of platform time that does not
 /// progress the application (Equation 12: `WASTE = 1 − T_0 / T_final`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waste {
     base_time: f64,
     final_time: f64,
@@ -46,7 +44,7 @@ impl Waste {
 }
 
 /// A full prediction for one protocol on one epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// Expected execution time of the GENERAL phase (including overheads).
     pub general_final_time: f64,

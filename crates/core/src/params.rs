@@ -7,12 +7,10 @@
 //! recovery cost `R`, downtime `D`, with ABFT overhead `φ` and ABFT
 //! reconstruction time `Recons_ABFT`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_fraction, ensure_non_negative, ensure_positive, ModelError, Result};
 
 /// All parameters of the analytical model, for one epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Failure-free epoch duration `T_0 = T_G + T_L` (seconds).
     pub epoch_duration: f64,

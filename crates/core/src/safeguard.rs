@@ -8,8 +8,6 @@
 //! count, algorithm complexity) and keeps ABFT off when that projection is
 //! below the optimal checkpoint period.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_non_negative, ensure_positive, Result};
 use crate::model;
 use crate::model::waste::Waste;
@@ -17,7 +15,7 @@ use crate::params::ModelParams;
 use crate::young_daly::paper_optimal_period;
 
 /// Projection of a library call's duration from its algorithmic complexity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProjectedCall {
     /// Number of floating-point operations of the call (e.g. `2n³/3` for LU).
     pub flops: f64,

@@ -15,8 +15,6 @@
 //! model's answer for one node count (the waste and the expected failure
 //! count of each of the three protocols), i.e. one x-position of the figures.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_positive, Result};
 use crate::model::analytic::{FirstOrderExponential, WasteModel};
 use crate::model::composite;
@@ -26,7 +24,7 @@ use crate::params::ModelParams;
 use ft_platform::units::{days, minutes};
 
 /// How the checkpoint (and recovery) cost scales with the node count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointScaling {
     /// Cost proportional to the checkpointed volume — i.e. to the node count
     /// under weak scaling (shared bandwidth-bound storage).
@@ -36,7 +34,7 @@ pub enum CheckpointScaling {
 }
 
 /// How a phase's duration scales with the node count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseScaling {
     /// `O(n³)` kernel under weak scaling: duration grows as `√(x/x_ref)`.
     CubicKernel,
@@ -54,7 +52,7 @@ impl PhaseScaling {
 }
 
 /// A weak-scaling scenario: all reference values plus the scaling rules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeakScalingScenario {
     /// Node count at which the reference values are given.
     pub reference_nodes: f64,
@@ -311,7 +309,7 @@ impl WeakScalingScenario {
 }
 
 /// Waste and expected failure count of one protocol at one scale.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolPoint {
     /// Waste of the protocol.
     pub waste: Waste,
@@ -330,7 +328,7 @@ impl ProtocolPoint {
 
 /// One x-position of Figures 8–10: the three protocols evaluated at a given
 /// node count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingPoint {
     /// Node count.
     pub nodes: f64,

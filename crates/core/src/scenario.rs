@@ -5,13 +5,11 @@
 //! [`Epoch`]s, each made of a GENERAL phase followed by a LIBRARY phase
 //! (either of which may be empty).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_non_negative, Result};
 use crate::params::ModelParams;
 
 /// Which kind of phase a work segment belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PhaseKind {
     /// ABFT-unaware application code.
     General,
@@ -21,7 +19,7 @@ pub enum PhaseKind {
 
 /// One epoch: a GENERAL phase followed by a LIBRARY phase (durations are
 /// failure-free work, in seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Epoch {
     /// Failure-free duration of the GENERAL phase.
     pub general: f64,
@@ -54,7 +52,7 @@ impl Epoch {
 }
 
 /// A work segment produced by unfolding a profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Index of the epoch the segment belongs to.
     pub epoch: usize,
@@ -65,7 +63,7 @@ pub struct Segment {
 }
 
 /// A full application: a sequence of epochs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplicationProfile {
     epochs: Vec<Epoch>,
 }

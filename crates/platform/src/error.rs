@@ -12,26 +12,15 @@ pub enum PlatformError {
         /// The value that was supplied.
         value: f64,
     },
-    /// A fraction-valued parameter fell outside `[0, 1]`.
-    FractionOutOfRange {
-        /// Name of the offending parameter.
-        name: &'static str,
-        /// The value that was supplied.
-        value: f64,
-    },
-    /// A cluster was built with zero nodes.
-    EmptyCluster,
     /// A process grid with zero rows or columns was requested.
     EmptyGrid,
-    /// A rank outside the grid/cluster was referenced.
+    /// A rank outside the grid was referenced.
     RankOutOfRange {
         /// The rank that was referenced.
         rank: usize,
         /// Number of ranks actually available.
         size: usize,
     },
-    /// A failure trace was used past its horizon.
-    TraceExhausted,
 }
 
 impl fmt::Display for PlatformError {
@@ -40,15 +29,10 @@ impl fmt::Display for PlatformError {
             PlatformError::NonPositiveParameter { name, value } => {
                 write!(f, "parameter `{name}` must be > 0 (got {value})")
             }
-            PlatformError::FractionOutOfRange { name, value } => {
-                write!(f, "parameter `{name}` must lie in [0, 1] (got {value})")
-            }
-            PlatformError::EmptyCluster => write!(f, "a cluster needs at least one node"),
             PlatformError::EmptyGrid => write!(f, "a process grid needs at least one row and one column"),
             PlatformError::RankOutOfRange { rank, size } => {
                 write!(f, "rank {rank} out of range for {size} processes")
             }
-            PlatformError::TraceExhausted => write!(f, "failure trace exhausted"),
         }
     }
 }
@@ -64,15 +48,6 @@ pub fn ensure_positive(name: &'static str, value: f64) -> Result<f64> {
         Ok(value)
     } else {
         Err(PlatformError::NonPositiveParameter { name, value })
-    }
-}
-
-/// Checks that `value` is a valid fraction in `[0, 1]`.
-pub fn ensure_fraction(name: &'static str, value: f64) -> Result<f64> {
-    if (0.0..=1.0).contains(&value) {
-        Ok(value)
-    } else {
-        Err(PlatformError::FractionOutOfRange { name, value })
     }
 }
 
@@ -94,19 +69,8 @@ mod tests {
     }
 
     #[test]
-    fn fraction_bounds() {
-        assert!(ensure_fraction("r", 0.0).is_ok());
-        assert!(ensure_fraction("r", 1.0).is_ok());
-        assert!(ensure_fraction("r", 0.5).is_ok());
-        assert!(ensure_fraction("r", -0.01).is_err());
-        assert!(ensure_fraction("r", 1.01).is_err());
-    }
-
-    #[test]
     fn error_messages_mention_parameter() {
         let err = ensure_positive("mtbf", -1.0).unwrap_err();
         assert!(err.to_string().contains("mtbf"));
-        let err = ensure_fraction("rho", 2.0).unwrap_err();
-        assert!(err.to_string().contains("rho"));
     }
 }

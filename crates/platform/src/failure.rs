@@ -7,8 +7,6 @@
 //! mortality / wear-out), which the extended experiments use to probe the
 //! robustness of the first-order model to its exponential assumption.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{ensure_positive, Result};
 use crate::rng::{DeterministicRng, Xoshiro256};
 use crate::special::{gamma, inverse_normal_cdf, lower_incomplete_gamma, normal_cdf};
@@ -121,7 +119,7 @@ impl DeterministicRng for ReplayOneRng {
 }
 
 /// Exponential (memoryless) failures with a fixed platform MTBF.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExponentialFailures {
     mtbf: f64,
 }
@@ -174,7 +172,7 @@ impl FailureModel for ExponentialFailures {
 /// exponential model of the same MTBF) and its shape `k`:
 /// `k < 1` models infant mortality (bursty failures), `k = 1` degenerates to
 /// the exponential, `k > 1` models wear-out.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeibullFailures {
     mean: f64,
     shape: f64,
@@ -243,7 +241,7 @@ impl FailureModel for WeibullFailures {
 /// exactly.  Sampling is the inverse-CDF transform
 /// `X = exp(µ_ln + σ Φ⁻¹(U))` — one open uniform per draw, which keeps the
 /// model on the columnar single-uniform fast path of the batch engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormalFailures {
     mean: f64,
     sigma: f64,
@@ -313,7 +311,7 @@ impl FailureModel for LogNormalFailures {
 /// MTBF-agnostic) and [`FailureSpec::build`] turns it into an
 /// [`AnyFailureModel`] for one parameter point.  The default is the paper's
 /// exponential assumption; `Weibull` drives the robustness studies.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FailureSpec {
     /// Memoryless failures (the paper's Section V-A assumption).
     #[default]
@@ -529,7 +527,7 @@ impl std::fmt::Display for FailureSpec {
 /// the scalar per-lane fallback), and their [`AnyFailureModel::spec`] is the
 /// matched-MTBF `Exponential` baseline — the family the analytic planner
 /// assumes when the i.i.d. assumption breaks underneath it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AnyFailureModel {
     /// Exponential inter-arrival times.
     Exponential(ExponentialFailures),

@@ -6,12 +6,10 @@
 //! the grid is a pure indexing structure — which is the substitution this
 //! reproduction makes for MPI ranks (see DESIGN.md §2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{PlatformError, Result};
 
 /// A `rows × cols` grid of virtual processes, ranks numbered row-major.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcessGrid {
     rows: usize,
     cols: usize,

@@ -3,18 +3,13 @@
 //! This crate models the *execution platform* that the composite
 //! ABFT + checkpointing study of Bosilca et al. (APDCM 2014) reasons about:
 //!
-//! * [`node`] / [`cluster`] — compute nodes, their individual MTBF and the
-//!   aggregate platform MTBF `µ = µ_ind / N`;
 //! * [`failure`] — failure inter-arrival distributions (exponential, Weibull)
 //!   with deterministic seeding;
-//! * [`trace`] — concrete failure traces that can be generated, replayed,
-//!   merged and summarised;
+//! * [`trace`] — replayable recordings of one sampled failure sequence, the
+//!   common random numbers behind paired protocol comparisons;
 //! * [`batch`] — lane-indexed batch failure sampling (independent streams,
 //!   antithetic partners and trace replay per lane) for the
 //!   structure-of-arrays simulation engine;
-//! * [`storage`] — checkpoint-storage cost models (bandwidth-bound remote
-//!   storage, constant-cost buddy/NVRAM storage, hierarchical storage);
-//! * [`memory`] — the LIBRARY / REMAINDER dataset split (the paper's `ρ`);
 //! * [`grid`] — the virtual 2-D process grid used by the ABFT substrate;
 //! * [`scenario`] — trace-driven and non-stationary failure scenarios
 //!   (recorded-trace playback, cascade bursts, diurnal modulation,
@@ -42,34 +37,26 @@
 pub mod batch;
 pub mod checksum;
 pub mod clock;
-pub mod cluster;
 pub mod error;
 pub mod failure;
 pub mod grid;
-pub mod memory;
-pub mod node;
 pub mod rng;
 pub mod scenario;
 pub mod special;
-pub mod storage;
 pub mod trace;
 pub mod units;
 
 pub use batch::{BatchFailureSource, BatchFailureStream, BatchTraceBuffer, BatchTraceCursor};
 pub use checksum::{ChecksumGen, Crc32, NullChecksum};
-pub use cluster::Cluster;
 pub use error::PlatformError;
 pub use failure::{
     AnyFailureModel, ExponentialFailures, FailureModel, FailureSource, FailureSpec, FailureStream,
     LogNormalFailures, SourceState, WeibullFailures,
 };
 pub use grid::ProcessGrid;
-pub use memory::DatasetLayout;
-pub use node::Node;
 pub use rng::{AntitheticRng, DeterministicRng, SeedStream, SplitMix64, Xoshiro256};
 pub use scenario::{
     bundled_playback, playback_from_file, CascadeFailures, DiurnalFailures, RecordedTrace,
     ScenarioError, ScenarioSpec, TraceFileError, TracePlayback, WearoutFailures,
 };
-pub use storage::{BandwidthBound, ConstantCost, Hierarchical, StorageModel};
-pub use trace::{FailureEvent, FailureTrace, TraceBuffer, TraceCursor};
+pub use trace::{TraceBuffer, TraceCursor};

@@ -48,8 +48,6 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use serde::{Deserialize, Serialize};
-
 use crate::checksum::{ChecksumGen, Crc32};
 use crate::error::{ensure_positive, PlatformError};
 use crate::failure::{AnyFailureModel, ExponentialFailures, FailureModel, SourceState};
@@ -183,7 +181,7 @@ fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
 ///
 /// This is the owned form straight off the byte format; simulation plays it
 /// back through [`RecordedTrace::into_playback`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecordedTrace {
     times: Vec<f64>,
     victims: Vec<u32>,
@@ -417,7 +415,7 @@ pub fn playback_from_file(path: &str) -> Result<TracePlayback, TraceFileError> {
 /// replays the log's exact gap structure (bursts included) starting at a
 /// random point of the cycle, and the long-run rate is exactly
 /// `n / horizon`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePlayback {
     /// Strictly increasing event times in `(0, horizon]` (leaked once at
     /// load; see [`RecordedTrace::into_playback`]).
@@ -497,7 +495,7 @@ impl FailureModel for TracePlayback {
 /// events in `γ + m·δ` expected seconds, so `γ = µ(1 + m) − m·δ` keeps the
 /// long-run mean inter-arrival at exactly the platform MTBF `µ` — the
 /// burstiness changes, the failure budget does not.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CascadeFailures {
     mtbf: f64,
     aftershocks: f64,
@@ -596,7 +594,7 @@ impl FailureModel for CascadeFailures {
 /// (time-rescaling: `Λ(t_next) = Λ(prev) + Exp(1)`), so each draw costs one
 /// uniform and a handful of arithmetic operations — but the gap depends on
 /// *where in the cycle* `prev` falls, which is exactly the non-stationarity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiurnalFailures {
     mean: f64,
     period: f64,
@@ -727,7 +725,7 @@ impl FailureModel for DiurnalFailures {
 /// finish time diverges (a positive feedback between waste and hazard).
 /// The calibration window `[0, T]` pins `Λ(T)` either way, so the cap
 /// changes nothing the calibration promises.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearoutFailures {
     mean: f64,
     shape: f64,
@@ -877,7 +875,7 @@ impl From<PlatformError> for ScenarioError {
 /// The declarative scenario layer: what the `--scenario` CLI axis carries
 /// through sweep specifications, resolved to an [`AnyFailureModel`] per
 /// parameter point by [`ScenarioSpec::resolve`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum ScenarioSpec {
     /// No scenario: the i.i.d. clock of the sweep's `FailureSpec` (the
     /// default, and the baseline every scenario is compared against).

@@ -1,152 +1,12 @@
-//! Concrete failure traces.
+//! Replayable failure sequences.
 //!
-//! A [`FailureTrace`] is an explicit, finite list of failure events (absolute
-//! times plus the rank of the struck process).  Traces can be generated from
-//! any [`FailureModel`], replayed deterministically by the simulator, merged
-//! (e.g. a node-local trace merged with a network-switch trace), filtered,
-//! and summarised.  They are the bridge between the stochastic failure models
-//! and the deterministic protocol state machines: given the same trace, every
-//! protocol sees exactly the same adversity, which makes protocol comparisons
-//! paired rather than independent and drastically reduces comparison variance.
+//! A [`TraceBuffer`] records one sampled failure sequence and replays it
+//! through [`TraceCursor`]s.  Given the same sequence, every protocol sees
+//! exactly the same adversity, which makes protocol comparisons paired
+//! rather than independent and drastically reduces comparison variance.
 
-use serde::{Deserialize, Serialize};
-
-use crate::error::{ensure_positive, Result};
 use crate::failure::{FailureModel, FailureSource, SourceState};
 use crate::rng::{DeterministicRng, Xoshiro256};
-
-/// One failure: an absolute timestamp and the rank of the victim process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FailureEvent {
-    /// Absolute time of the failure, in seconds since the start of the run.
-    pub time: f64,
-    /// Rank of the process/node struck by the failure.
-    pub rank: usize,
-}
-
-/// A finite, time-ordered list of failure events over a horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FailureTrace {
-    events: Vec<FailureEvent>,
-    horizon: f64,
-    ranks: usize,
-}
-
-impl FailureTrace {
-    /// Builds a trace from raw events. Events are sorted by time.
-    pub fn from_events(mut events: Vec<FailureEvent>, horizon: f64, ranks: usize) -> Result<Self> {
-        ensure_positive("horizon", horizon)?;
-        events.sort_by(|a, b| a.time.total_cmp(&b.time));
-        events.retain(|e| e.time <= horizon);
-        Ok(Self {
-            events,
-            horizon,
-            ranks: ranks.max(1),
-        })
-    }
-
-    /// Generates a trace by sampling inter-arrival times from `model` until
-    /// `horizon` is exceeded; each failure strikes a uniformly random rank
-    /// among `ranks` processes.
-    pub fn generate<M: FailureModel>(model: &M, horizon: f64, ranks: usize, seed: u64) -> Result<Self> {
-        ensure_positive("horizon", horizon)?;
-        let ranks = ranks.max(1);
-        let mut rng = Xoshiro256::seed_from_u64(seed);
-        let mut events = Vec::new();
-        let mut t = 0.0;
-        loop {
-            t += model.next_interarrival(&mut rng);
-            if t > horizon {
-                break;
-            }
-            let rank = rng.index(ranks);
-            events.push(FailureEvent { time: t, rank });
-        }
-        Ok(Self {
-            events,
-            horizon,
-            ranks,
-        })
-    }
-
-    /// An empty (failure-free) trace over the given horizon.
-    pub fn failure_free(horizon: f64, ranks: usize) -> Result<Self> {
-        Self::from_events(Vec::new(), horizon, ranks)
-    }
-
-    /// The events, ordered by time.
-    #[inline]
-    pub fn events(&self) -> &[FailureEvent] {
-        &self.events
-    }
-
-    /// Number of failures in the trace.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace contains no failure.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The time horizon the trace covers.
-    #[inline]
-    pub fn horizon(&self) -> f64 {
-        self.horizon
-    }
-
-    /// Number of ranks the trace targets.
-    #[inline]
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
-    /// First failure occurring strictly after time `t`, if any.
-    pub fn next_after(&self, t: f64) -> Option<FailureEvent> {
-        // Events are sorted; a partition-point search keeps replay O(log n).
-        let idx = self.events.partition_point(|e| e.time <= t);
-        self.events.get(idx).copied()
-    }
-
-    /// Number of failures in the half-open window `(from, to]`.
-    pub fn count_in(&self, from: f64, to: f64) -> usize {
-        let lo = self.events.partition_point(|e| e.time <= from);
-        let hi = self.events.partition_point(|e| e.time <= to);
-        hi - lo
-    }
-
-    /// Merges two traces over the same rank count; the horizon is the
-    /// smaller of the two.
-    pub fn merge(&self, other: &FailureTrace) -> Result<FailureTrace> {
-        let horizon = self.horizon.min(other.horizon);
-        let mut events: Vec<FailureEvent> = self
-            .events
-            .iter()
-            .chain(other.events.iter())
-            .copied()
-            .collect();
-        events.retain(|e| e.time <= horizon);
-        FailureTrace::from_events(events, horizon, self.ranks.max(other.ranks))
-    }
-
-    /// Empirical mean time between failures of the trace (horizon divided by
-    /// the number of failures); `None` for a failure-free trace.
-    pub fn empirical_mtbf(&self) -> Option<f64> {
-        if self.events.is_empty() {
-            None
-        } else {
-            Some(self.horizon / self.events.len() as f64)
-        }
-    }
-
-    /// Returns an iterator that replays the trace.
-    pub fn replay(&self) -> impl Iterator<Item = FailureEvent> + '_ {
-        self.events.iter().copied()
-    }
-}
 
 /// A reusable recording buffer of one sampled failure sequence — the
 /// common-random-numbers workhorse of the replication fast path.
@@ -176,7 +36,6 @@ impl FailureTrace {
 pub struct TraceBuffer<M: FailureModel> {
     model: M,
     rng: Xoshiro256,
-    seed: u64,
     antithetic: bool,
     times: Vec<f64>,
     last: f64,
@@ -189,7 +48,6 @@ impl<M: FailureModel> TraceBuffer<M> {
         Self {
             model,
             rng: Xoshiro256::seed_from_u64(seed),
-            seed,
             antithetic: false,
             times: Vec::new(),
             last: 0.0,
@@ -201,7 +59,6 @@ impl<M: FailureModel> TraceBuffer<M> {
     /// buffer's allocation.
     pub fn reset(&mut self, seed: u64) {
         self.rng = Xoshiro256::seed_from_u64(seed);
-        self.seed = seed;
         self.antithetic = false;
         self.times.clear();
         self.last = 0.0;
@@ -305,32 +162,6 @@ impl<M: FailureModel> TraceBuffer<M> {
             next: index,
         }
     }
-
-    /// Freezes the currently recorded sequence into a [`FailureTrace`] over
-    /// `ranks` processes.  Victim ranks come from a *separate* generator
-    /// derived from the replication seed — never from the buffer's sampling
-    /// generator — so freezing a trace neither perturbs later lazy
-    /// extensions of the sequence (the bit-identical replay contract holds)
-    /// nor varies between repeated calls.
-    pub fn to_trace(&mut self, horizon: f64, ranks: usize) -> Result<FailureTrace> {
-        let ranks = ranks.max(1);
-        // Materialise every failure up to the horizon.
-        let mut i = 0;
-        while self.time(i) <= horizon {
-            i += 1;
-        }
-        let mut rank_rng =
-            Xoshiro256::seed_from_u64(crate::rng::SplitMix64::new(!self.seed).derive_seed());
-        let cutoff = self.times.iter().take_while(|&&t| t <= horizon).count();
-        let mut events = Vec::with_capacity(cutoff);
-        for k in 0..cutoff {
-            events.push(FailureEvent {
-                time: self.times[k],
-                rank: rank_rng.index(ranks),
-            });
-        }
-        FailureTrace::from_events(events, horizon, ranks)
-    }
 }
 
 /// A replay position into a [`TraceBuffer`]: yields the recorded failure
@@ -372,101 +203,6 @@ mod tests {
 
     fn exp_model(mtbf: f64) -> ExponentialFailures {
         ExponentialFailures::new(mtbf).unwrap()
-    }
-
-    #[test]
-    fn generation_is_deterministic() {
-        let m = exp_model(units::hours(1.0));
-        let a = FailureTrace::generate(&m, units::days(7.0), 100, 3).unwrap();
-        let b = FailureTrace::generate(&m, units::days(7.0), 100, 3).unwrap();
-        assert_eq!(a, b);
-        let c = FailureTrace::generate(&m, units::days(7.0), 100, 4).unwrap();
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn generated_events_are_ordered_and_within_horizon() {
-        let m = exp_model(units::minutes(90.0));
-        let t = FailureTrace::generate(&m, units::days(2.0), 16, 11).unwrap();
-        for w in t.events().windows(2) {
-            assert!(w[0].time <= w[1].time);
-        }
-        for e in t.events() {
-            assert!(e.time <= t.horizon());
-            assert!(e.rank < 16);
-        }
-    }
-
-    #[test]
-    fn empirical_mtbf_matches_model_roughly() {
-        let mtbf = units::hours(2.0);
-        let m = exp_model(mtbf);
-        // Long horizon → law of large numbers.
-        let t = FailureTrace::generate(&m, units::weeks(40.0), 8, 5).unwrap();
-        let emp = t.empirical_mtbf().unwrap();
-        assert!((emp - mtbf).abs() / mtbf < 0.1, "empirical {emp}");
-    }
-
-    #[test]
-    fn failure_free_trace() {
-        let t = FailureTrace::failure_free(100.0, 4).unwrap();
-        assert!(t.is_empty());
-        assert_eq!(t.empirical_mtbf(), None);
-        assert_eq!(t.next_after(0.0), None);
-    }
-
-    #[test]
-    fn next_after_and_count_in() {
-        let events = vec![
-            FailureEvent { time: 10.0, rank: 0 },
-            FailureEvent { time: 20.0, rank: 1 },
-            FailureEvent { time: 30.0, rank: 2 },
-        ];
-        let t = FailureTrace::from_events(events, 100.0, 4).unwrap();
-        assert_eq!(t.next_after(0.0).unwrap().time, 10.0);
-        assert_eq!(t.next_after(10.0).unwrap().time, 20.0);
-        assert_eq!(t.next_after(25.0).unwrap().time, 30.0);
-        assert_eq!(t.next_after(30.0), None);
-        assert_eq!(t.count_in(0.0, 100.0), 3);
-        assert_eq!(t.count_in(10.0, 30.0), 2);
-        assert_eq!(t.count_in(30.0, 100.0), 0);
-    }
-
-    #[test]
-    fn from_events_sorts_and_clips() {
-        let events = vec![
-            FailureEvent { time: 50.0, rank: 0 },
-            FailureEvent { time: 10.0, rank: 1 },
-            FailureEvent { time: 200.0, rank: 2 }, // beyond horizon, dropped
-        ];
-        let t = FailureTrace::from_events(events, 100.0, 4).unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.events()[0].time, 10.0);
-        assert_eq!(t.events()[1].time, 50.0);
-    }
-
-    #[test]
-    fn merge_interleaves_and_respects_horizon() {
-        let a = FailureTrace::from_events(
-            vec![FailureEvent { time: 10.0, rank: 0 }, FailureEvent { time: 90.0, rank: 0 }],
-            100.0,
-            2,
-        )
-        .unwrap();
-        let b = FailureTrace::from_events(vec![FailureEvent { time: 40.0, rank: 1 }], 50.0, 2).unwrap();
-        let m = a.merge(&b).unwrap();
-        assert_eq!(m.horizon(), 50.0);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.events()[0].time, 10.0);
-        assert_eq!(m.events()[1].time, 40.0);
-    }
-
-    #[test]
-    fn replay_yields_all_events_in_order() {
-        let m = exp_model(units::hours(1.0));
-        let t = FailureTrace::generate(&m, units::days(1.0), 10, 21).unwrap();
-        let replayed: Vec<FailureEvent> = t.replay().collect();
-        assert_eq!(replayed.as_slice(), t.events());
     }
 
     #[test]
@@ -555,35 +291,5 @@ mod tests {
         buffer.reset(42);
         assert!(!buffer.is_antithetic());
         assert_eq!(buffer.time(0).to_bits(), plain[0].to_bits());
-    }
-
-    #[test]
-    fn buffer_freezes_into_a_trace() {
-        let m = exp_model(units::minutes(30.0));
-        let mut buffer = TraceBuffer::new(m, 9);
-        let trace = buffer.to_trace(units::days(1.0), 8).unwrap();
-        assert!(!trace.is_empty());
-        assert_eq!(trace.ranks(), 8);
-        for (e, &t) in trace.events().iter().zip(buffer.sampled()) {
-            assert_eq!(e.time, t);
-            assert!(e.rank < 8);
-        }
-        // Freezing is repeatable: same sequence, same ranks.
-        assert_eq!(trace, buffer.to_trace(units::days(1.0), 8).unwrap());
-        assert!(buffer.to_trace(-1.0, 8).is_err());
-    }
-
-    #[test]
-    fn freezing_a_trace_does_not_perturb_later_replay() {
-        // The rank draws of to_trace must not touch the sampling generator:
-        // lazily extending the sequence afterwards still matches a buffer
-        // that never froze anything.
-        let m = exp_model(units::hours(1.0));
-        let mut frozen = TraceBuffer::new(m, 33);
-        let mut pristine = TraceBuffer::new(m, 33);
-        frozen.to_trace(units::days(1.0), 4).unwrap();
-        for i in 0..200 {
-            assert_eq!(frozen.time(i).to_bits(), pristine.time(i).to_bits(), "index {i}");
-        }
     }
 }

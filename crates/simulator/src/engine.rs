@@ -159,12 +159,20 @@ pub(crate) fn emit_steps(
     plan: &PeriodPlan,
     mut emit: impl FnMut(Step),
 ) {
+    // `SimClock::try_run` skips a non-positive duration, while the batch
+    // fast pass adds every term to the lane clock: a hand-built plan's
+    // negative cost or slowdown is clamped here, where both interpreters
+    // read it.
+    let ckpt_full = plan.ckpt_full.max(0.0);
+    let ckpt_library = plan.ckpt_library.max(0.0);
+    let ckpt_remainder = plan.ckpt_remainder.max(0.0);
+    let phi = plan.phi.max(0.0);
     match protocol {
         // Phase-oblivious: the whole application — all epochs, GENERAL and
         // LIBRARY phases alike — is one checkpointed stream.
         Protocol::PurePeriodicCkpt => emit_stream(
             profile.total_duration(),
-            plan.ckpt_full,
+            ckpt_full,
             plan.full_period,
             &mut emit,
         ),
@@ -172,13 +180,8 @@ pub(crate) fn emit_steps(
         // ones in LIBRARY phases; recovery still reloads everything.
         Protocol::BiPeriodicCkpt => {
             for epoch in profile.epochs() {
-                emit_stream(epoch.general, plan.ckpt_full, plan.full_period, &mut emit);
-                emit_stream(
-                    epoch.library,
-                    plan.ckpt_library,
-                    plan.library_period,
-                    &mut emit,
-                );
+                emit_stream(epoch.general, ckpt_full, plan.full_period, &mut emit);
+                emit_stream(epoch.library, ckpt_library, plan.library_period, &mut emit);
             }
         }
         // Composite: periodic checkpointing in GENERAL phases ending in the
@@ -193,7 +196,7 @@ pub(crate) fn emit_steps(
                     // requires the forced REMAINDER checkpoint.
                     if epoch.library > 0.0 {
                         emit(Step::Forced {
-                            cost: plan.ckpt_remainder,
+                            cost: ckpt_remainder,
                         });
                     }
                 } else if work < plan.full_period {
@@ -202,21 +205,19 @@ pub(crate) fn emit_steps(
                     // forced REMAINDER checkpoint — one attempt unit.
                     emit(Step::Period {
                         work,
-                        ckpt: plan.ckpt_remainder,
+                        ckpt: ckpt_remainder,
                     });
                 } else {
                     // Long phase: the last periodic checkpoint doubles as
                     // the forced entry checkpoint (the paper's "the last
                     // periodic checkpoint replaces that of size C_L̄").
-                    emit_stream(work, plan.ckpt_full, plan.full_period, &mut emit);
+                    emit_stream(work, ckpt_full, plan.full_period, &mut emit);
                 }
                 if epoch.library > 0.0 {
                     emit(Step::AbftWork {
-                        work: plan.phi * epoch.library,
+                        work: phi * epoch.library,
                     });
-                    emit(Step::AbftCkpt {
-                        cost: plan.ckpt_library,
-                    });
+                    emit(Step::AbftCkpt { cost: ckpt_library });
                 }
             }
         }

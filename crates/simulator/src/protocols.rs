@@ -9,12 +9,11 @@
 //! [`ProtocolExecutor`]: crate::engine::ProtocolExecutor
 
 use ft_composite::params::ModelParams;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::Engine;
 
 /// The three fault-tolerance protocols compared by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Protocol {
     /// Phase-oblivious coordinated periodic checkpointing.
     PurePeriodicCkpt,
@@ -58,7 +57,7 @@ impl Protocol {
 }
 
 /// Result of simulating one application under one protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOutcome {
     /// Total execution time, failures included.
     pub final_time: f64,

@@ -35,14 +35,13 @@
 
 use ft_composite::scenario::ApplicationProfile;
 use ft_platform::rng::SeedStream;
-use serde::{Deserialize, Serialize};
 
 use crate::engine::Engine;
 use crate::protocols::{Protocol, SimOutcome};
 use crate::stats::{OutcomeAccumulator, Welford};
 
 /// How many replications a Monte-Carlo evaluation runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplicationBudget {
     /// Exactly `n` replications — bit-compatible with the historical
     /// fixed-count behaviour (`Fixed(0)` means "no simulation arm" to the
@@ -236,7 +235,7 @@ impl ReplicationBudget {
 /// responses the pair averaging cancels first-order sampling noise, so the
 /// same execution count buys a tighter confidence interval (and adaptive
 /// budgets stop earlier).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicationPlan {
     /// The stopping rule (fixed or adaptive), counted in samples — pair
     /// averages when `antithetic` is set.
@@ -304,7 +303,7 @@ impl std::fmt::Display for ReplicationBudget {
 }
 
 /// Aggregated statistics of a batch of replications.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimStats {
     /// Protocol that was simulated.
     pub protocol: Protocol,
@@ -348,7 +347,7 @@ impl SimStats {
 /// interval on "protocol B − protocol A" is far tighter than the one derived
 /// from two independent runs — the same number of replications resolves much
 /// smaller protocol gaps (or the same gap needs far fewer replications).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairedAccumulator {
     /// The protocols compared, in evaluation order; `protocols[0]` is the
     /// baseline of every difference.

@@ -5,12 +5,10 @@
 //! accumulate through it (directly or via [`OutcomeAccumulator`]) instead of
 //! rolling their own sums.
 
-use serde::{Deserialize, Serialize};
-
 use crate::protocols::SimOutcome;
 
 /// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -93,7 +91,7 @@ impl Welford {
 /// This is the only outcome aggregation in the workspace — the parallel
 /// replication fold, the sequential per-point accumulation of the sweep
 /// subsystem and the benches all push into it.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OutcomeAccumulator {
     /// Waste statistics.
     pub waste: Welford,

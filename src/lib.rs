@@ -7,7 +7,8 @@
 //! It re-exports the workspace crates under stable module names so that
 //! examples, integration tests and downstream users need a single dependency:
 //!
-//! * [`platform`] — cluster, failure and storage models ([`ft_platform`]);
+//! * [`platform`] — failure models, traces and scenarios, process grids
+//!   ([`ft_platform`]);
 //! * [`ckpt`] — checkpoint/restart substrate ([`ft_ckpt`]);
 //! * [`abft`] — algorithm-based fault-tolerant factorizations ([`ft_abft`]);
 //! * [`composite`] — the paper's analytical model, optimal periods and the

@@ -25,12 +25,14 @@ use abft_ckpt_composite::platform::scenario::ScenarioSpec;
 use abft_ckpt_composite::platform::units::{hours, minutes};
 use abft_ckpt_composite::sim::batch::{
     accumulate_paired_programs_batch, accumulate_profile_program_batch, simulate_profile_batch,
-    BatchProgram,
+    BatchProgram, BatchState,
 };
 use abft_ckpt_composite::sim::replicate::{
     accumulate_paired_engine, PairedAccumulator, ReplicationBudget, ReplicationPlan,
 };
-use abft_ckpt_composite::sim::{Engine, Protocol, SimOutcome};
+use abft_ckpt_composite::sim::{
+    Engine, PeriodPlan, Protocol, ProtocolExecutor, SimClock, SimOutcome,
+};
 use proptest::prelude::*;
 
 mod common;
@@ -799,6 +801,45 @@ fn paired_prefix_ending_inside_a_fusable_run_is_bit_exact() {
                 let batch = batch_paired(&engine, &protocols, &profile, plan, 41, lanes, 1);
                 assert_eq!(scalar, batch, "{spec} {protocols:?} lanes={lanes}");
             }
+        }
+    }
+}
+
+/// A hand-built plan may carry a negative cost or slowdown (its fields are
+/// public; only plans derived from validated `ModelParams` are guaranteed
+/// non-negative).  The scalar clock treats a negative duration as a no-op,
+/// so the batch engine, whose fast pass adds every term to the lane clock,
+/// must end each lane where `Protocol::execute` does.
+#[test]
+fn negative_plan_costs_end_where_the_scalar_executor_ends() {
+    let params = ModelParams::paper_figure7(0.5, minutes(120.0)).unwrap();
+    let engine = Engine::new(&params);
+    let negative_cost = PeriodPlan {
+        ckpt_remainder: -10.0,
+        ..*engine.plan()
+    };
+    let negative_phi = PeriodPlan {
+        phi: -1.0,
+        ..*engine.plan()
+    };
+    let profile = ApplicationProfile::uniform(2, 1000.0, 500.0).unwrap();
+    let protocol = Protocol::AbftPeriodicCkpt;
+    let seeds = [1u64, 2, 3];
+    for (label, plan) in [("C_L̄ < 0", negative_cost), ("φ < 0", negative_phi)] {
+        let program = BatchProgram::compile(protocol, &profile, &plan);
+        let mut state = BatchState::new();
+        program.run(&mut streams(&engine, &seeds), &mut state);
+        for (lane, &seed) in seeds.iter().enumerate() {
+            let mut clock = SimClock::with_model(*engine.failure_model(), seed);
+            protocol.execute(&mut clock, &profile, &plan);
+            let batch = program.outcome(&state, lane);
+            assert_eq!(
+                batch.final_time.to_bits(),
+                clock.now().to_bits(),
+                "{label} seed {seed}: batch {} vs scalar {}",
+                batch.final_time,
+                clock.now()
+            );
         }
     }
 }

@@ -104,23 +104,6 @@ fn abft_cholesky_and_protected_dataset_cover_the_library_dataset_lifecycle() {
     assert!(chol.residual(&spd).unwrap() < 1e-8);
 }
 
-#[test]
-fn checkpoint_store_and_runtime_costs_are_consistent_with_the_storage_model() {
-    use ft_ckpt::coordinated::CoordinatedCheckpoint;
-    use ft_ckpt::store::CheckpointStore;
-    use ft_platform::storage::{BandwidthBound, StorageModel};
-
-    let set = ProcessSet::uniform(8, 64 * 1024, 16 * 1024);
-    let storage = BandwidthBound::new(1024.0 * 1024.0, 0.5).unwrap();
-    let mut store = CheckpointStore::new(storage, 8, 4);
-    for t in [0.0, 100.0, 200.0] {
-        store.push(CoordinatedCheckpoint::capture(&set, t)).unwrap();
-    }
-    let expected_each = storage.write_cost(set.total_footprint() as f64, 8);
-    assert!((store.total_write_cost() - 3.0 * expected_each).abs() < 1e-9);
-    assert_eq!(store.latest_before(150.0).unwrap().time, 100.0);
-}
-
 /// Pins the final state of one run whose failures come from a fixed seed.
 /// Recorded with the one-chain FNV-1a fingerprint, before the multi-lane
 /// kernel existed; never edit the value.

@@ -8,13 +8,10 @@ use abft_ckpt_composite::{abft, bench, ckpt, composite, platform, sim};
 #[test]
 fn every_reexported_module_is_reachable() {
     // platform
-    let cluster = platform::cluster::Cluster::homogeneous(
-        16,
-        platform::units::hours(24.0 * 365.0),
-        platform::units::gib(4.0),
-    )
-    .unwrap();
-    assert!(cluster.platform_mtbf() > 0.0);
+    let failures =
+        platform::failure::ExponentialFailures::new(platform::units::hours(2.0)).unwrap();
+    let mut stream = platform::failure::FailureStream::new(failures, 42);
+    assert!(platform::failure::FailureSource::next_failure(&mut stream) > 0.0);
     let grid = platform::grid::ProcessGrid::new(2, 2).unwrap();
     assert_eq!(grid.size(), 4);
     let _ = platform::units::format_duration(platform::units::minutes(90.0));
