@@ -4,11 +4,15 @@
 //! [`ProcessSet`] at the same logical instant — the classic
 //! Chandy–Lamport-style snapshot that periodic checkpointing relies on.
 //! Because our processes are virtual, "coordination" reduces to quiescing
-//! (no in-flight messages to flush) and copying every region of every
+//! (no in-flight messages to flush) and capturing every region of every
 //! process; the interesting part for the study is *what* is captured and how
 //! many bytes it amounts to, which is what drives the checkpoint cost `C`.
+//! A capture shares each region's copy-on-write buffer instead of copying it
+//! (see [`crate::state`]).
 
-use crate::state::{DatasetKind, ProcessSet};
+use std::sync::Arc;
+
+use crate::state::{DatasetKind, MemoryRegion, ProcessSet};
 
 /// Snapshot of one memory region.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,10 +21,23 @@ pub struct RegionSnapshot {
     pub region_id: usize,
     /// Dataset the region belongs to.
     pub kind: DatasetKind,
-    /// Captured contents.
-    pub data: Vec<u8>,
+    /// Captured contents, shared with the region until either side is
+    /// written.
+    pub data: Arc<Vec<u8>>,
     /// Generation of the region at capture time.
     pub generation: u64,
+}
+
+impl RegionSnapshot {
+    /// Captures `region`, sharing its buffer.
+    pub(crate) fn of(region: &MemoryRegion) -> Self {
+        Self {
+            region_id: region.id,
+            kind: region.kind,
+            data: Arc::clone(region.shared_data()),
+            generation: region.generation(),
+        }
+    }
 }
 
 /// Snapshot of one process.
@@ -57,16 +74,7 @@ impl CoordinatedCheckpoint {
             .iter()
             .map(|p| ProcessSnapshot {
                 rank: p.rank(),
-                regions: p
-                    .regions()
-                    .iter()
-                    .map(|r| RegionSnapshot {
-                        region_id: r.id,
-                        kind: r.kind,
-                        data: r.data().to_vec(),
-                        generation: r.generation(),
-                    })
-                    .collect(),
+                regions: p.regions().iter().map(RegionSnapshot::of).collect(),
                 progress: p.progress(),
             })
             .collect();
@@ -112,9 +120,7 @@ impl CoordinatedCheckpoint {
                         region: r.region_id,
                     });
                 }
-                process
-                    .region_mut(id)?
-                    .restore(r.data.clone(), r.generation);
+                process.region_mut(id)?.restore(&r.data, r.generation);
             }
             process.set_progress(snap.progress);
         }
@@ -168,13 +174,17 @@ mod tests {
     fn capture_is_a_copy_not_a_view() {
         let mut set = ProcessSet::uniform(1, 8, 8);
         let ckpt = CoordinatedCheckpoint::capture(&set, 0.0);
-        let before = ckpt.snapshots[0].regions[0].data.clone();
+        // A copy of the bytes: cloning `data` would clone the shared handle.
+        let before = ckpt.snapshots[0].regions[0].data.to_vec();
         set.process_mut(0)
             .unwrap()
             .region_mut(0)
             .unwrap()
             .update(|d| d.iter_mut().for_each(|b| *b = 0xAA));
-        assert_eq!(ckpt.snapshots[0].regions[0].data, before);
+        assert_eq!(
+            ckpt.snapshots[0].regions[0].data.as_slice(),
+            before.as_slice()
+        );
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! as delta-against-base, [`PartialCheckpoint`] as dataset-delta) plus
 //! opaque `State` payloads (the simulator's crash-resume snapshots).
 
+use std::sync::Arc;
+
 use ft_platform::checksum::ChecksumGen;
 
 use crate::coordinated::{CoordinatedCheckpoint, ProcessSnapshot, RegionSnapshot};
@@ -501,7 +503,7 @@ fn read_snapshots(r: &mut Reader<'_>) -> Result<Vec<ProcessSnapshot>, FrameFault
             let kind = dataset_from_tag(r.u8("region kind")?)?;
             let generation = r.u64("region generation")?;
             let len = r.u64("region length")? as usize;
-            let data = r.take(len, "region data")?.to_vec();
+            let data = Arc::new(r.take(len, "region data")?.to_vec());
             regions.push(RegionSnapshot {
                 region_id,
                 kind,

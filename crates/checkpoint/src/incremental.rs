@@ -51,12 +51,7 @@ impl IncrementalCheckpoint {
                             .map(|&g| r.generation() > g)
                             .unwrap_or(true)
                     })
-                    .map(|r| RegionSnapshot {
-                        region_id: r.id,
-                        kind: r.kind,
-                        data: r.data().to_vec(),
-                        generation: r.generation(),
-                    })
+                    .map(RegionSnapshot::of)
                     .collect(),
                 progress: p.progress(),
             })

@@ -4,7 +4,8 @@
 //! protocol of Bosilca et al. (APDCM 2014) relies on:
 //!
 //! * [`state`] — per-process application state, organised in memory regions
-//!   tagged as LIBRARY or REMAINDER dataset, with modification tracking;
+//!   tagged as LIBRARY or REMAINDER dataset, with modification tracking and
+//!   copy-on-write buffers that checkpoints share instead of copying;
 //! * [`coordinated`] — coordinated (globally consistent) checkpoints across a
 //!   set of processes;
 //! * [`partial`] — partial checkpoints covering only one dataset, and the

@@ -34,15 +34,7 @@ impl PartialCheckpoint {
             .iter()
             .map(|p| ProcessSnapshot {
                 rank: p.rank(),
-                regions: p
-                    .regions_of(kind)
-                    .map(|r| RegionSnapshot {
-                        region_id: r.id,
-                        kind: r.kind,
-                        data: r.data().to_vec(),
-                        generation: r.generation(),
-                    })
-                    .collect(),
+                regions: p.regions_of(kind).map(RegionSnapshot::of).collect(),
                 progress: p.progress(),
             })
             .collect();

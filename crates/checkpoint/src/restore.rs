@@ -44,7 +44,7 @@ pub fn restore_full(ckpt: &CoordinatedCheckpoint, set: &mut ProcessSet) -> Resul
         let mut bytes = 0;
         for r in &snap.regions {
             let region = process.region_mut(r.region_id)?;
-            region.restore(r.data.clone(), r.generation);
+            region.restore(&r.data, r.generation);
             regions += 1;
             bytes += r.data.len();
         }
@@ -92,7 +92,7 @@ pub fn restore_partial(
         let mut bytes = 0;
         for r in &snap.regions {
             let region = process.region_mut(r.region_id)?;
-            region.restore(r.data.clone(), r.generation);
+            region.restore(&r.data, r.generation);
             regions += 1;
             bytes += r.data.len();
         }

@@ -7,6 +7,14 @@
 //! abstract notion of computation progress.  Regions carry a generation
 //! counter bumped on every write, which is what incremental checkpoints use
 //! to find dirty data.
+//!
+//! Region contents are shared, copy-on-write buffers: a snapshot or a clone
+//! of a region holds the same `Arc<Vec<u8>>` as the live region, and the live
+//! region copies its bytes only when it is written while something still
+//! shares them.  A capture therefore costs a reference count per region, not
+//! a copy of the region.
+
+use std::sync::Arc;
 
 use crate::error::{CkptError, Result};
 
@@ -31,13 +39,15 @@ impl DatasetKind {
 }
 
 /// A contiguous, tagged region of a process's memory.
+///
+/// Cloning a region shares its buffer; see the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemoryRegion {
     /// Identifier of the region, unique within its process.
     pub id: usize,
     /// Dataset the region belongs to.
     pub kind: DatasetKind,
-    data: Vec<u8>,
+    data: Arc<Vec<u8>>,
     generation: u64,
 }
 
@@ -47,9 +57,16 @@ impl MemoryRegion {
         Self {
             id,
             kind,
-            data,
+            data: Arc::new(data),
             generation: 0,
         }
+    }
+
+    /// The shared buffer holding the contents; a snapshot keeps a clone of
+    /// it instead of a copy of the bytes.
+    #[inline]
+    pub(crate) fn shared_data(&self) -> &Arc<Vec<u8>> {
+        &self.data
     }
 
     /// Read-only view of the region contents.
@@ -76,23 +93,26 @@ impl MemoryRegion {
         self.generation
     }
 
-    /// Overwrites the region contents, bumping the generation.
+    /// Overwrites the region contents, bumping the generation.  The old
+    /// buffer is released, not written: a snapshot sharing it keeps it.
     pub fn write(&mut self, data: Vec<u8>) {
-        self.data = data;
+        self.data = Arc::new(data);
         self.generation += 1;
     }
 
     /// Mutates the region contents in place through a closure, bumping the
-    /// generation.
+    /// generation.  The closure writes the region's own buffer when nothing
+    /// else shares it, and a private copy of it otherwise.
     pub fn update<F: FnOnce(&mut Vec<u8>)>(&mut self, f: F) {
-        f(&mut self.data);
+        f(Arc::make_mut(&mut self.data));
         self.generation += 1;
     }
 
     /// Restores the region to previously captured contents *without* counting
     /// as an application write: the generation is set to the captured value.
-    pub(crate) fn restore(&mut self, data: Vec<u8>, generation: u64) {
-        self.data = data;
+    /// The region shares the captured buffer.
+    pub(crate) fn restore(&mut self, data: &Arc<Vec<u8>>, generation: u64) {
+        self.data = Arc::clone(data);
         self.generation = generation;
     }
 
@@ -319,8 +339,7 @@ impl ProcessState {
     /// replacement process is started with the same memory layout.
     pub fn crash(&mut self) {
         for r in &mut self.regions {
-            let len = r.data.len();
-            r.data = vec![0; len];
+            r.data = Arc::new(vec![0; r.data.len()]);
             r.generation += 1;
         }
         self.progress = 0.0;

@@ -23,7 +23,7 @@
 //!   or injected time), the only place library code may read real time;
 //! * [`special`] — the Gamma-function family backing the Weibull moment
 //!   helpers ([`failure::FailureSpec::conditional_mean_below`] and friends);
-//! * [`units`] — readable constructors for durations and memory sizes.
+//! * [`units`] — readable constructors for durations.
 //!
 //! Everything here is a *model* of a platform: no MPI, no real I/O.  The
 //! higher-level crates (`ft-ckpt`, `ft-abft`, `ft-sim`, `ft-composite`)

@@ -1,9 +1,8 @@
-//! Readable constructors and conversions for durations (seconds) and memory
-//! sizes (bytes).
+//! Readable constructors and conversions for durations (seconds).
 //!
-//! The whole workspace manipulates time as `f64` seconds and memory as `f64`
-//! bytes.  These helpers keep scenario definitions readable and identical to
-//! the way the paper states its parameters ("C = R = 10 minutes",
+//! The whole workspace manipulates time as `f64` seconds.  These helpers keep
+//! scenario definitions readable and identical to the way the paper states
+//! its parameters ("C = R = 10 minutes",
 //! "T0 = 1 week", ...).
 
 /// One second, the base time unit.
@@ -16,19 +15,6 @@ pub const HOUR: f64 = 3_600.0;
 pub const DAY: f64 = 86_400.0;
 /// Seconds in a week.
 pub const WEEK: f64 = 604_800.0;
-
-/// One byte, the base memory unit.
-pub const BYTE: f64 = 1.0;
-/// Bytes in a kibibyte.
-pub const KIB: f64 = 1024.0;
-/// Bytes in a mebibyte.
-pub const MIB: f64 = 1024.0 * KIB;
-/// Bytes in a gibibyte.
-pub const GIB: f64 = 1024.0 * MIB;
-/// Bytes in a tebibyte.
-pub const TIB: f64 = 1024.0 * GIB;
-/// Bytes in a pebibyte.
-pub const PIB: f64 = 1024.0 * TIB;
 
 /// Converts `x` seconds to seconds (identity, for symmetry).
 #[inline]
@@ -60,18 +46,6 @@ pub fn weeks(x: f64) -> f64 {
     x * WEEK
 }
 
-/// Converts `x` gibibytes to bytes.
-#[inline]
-pub fn gib(x: f64) -> f64 {
-    x * GIB
-}
-
-/// Converts `x` tebibytes to bytes.
-#[inline]
-pub fn tib(x: f64) -> f64 {
-    x * TIB
-}
-
 /// Formats a duration in seconds using the largest unit that keeps the value
 /// readable (e.g. `90.0` becomes `"1.50 min"`).
 pub fn format_duration(secs: f64) -> String {
@@ -86,25 +60,6 @@ pub fn format_duration(secs: f64) -> String {
         format!("{:.2} min", secs / MINUTE)
     } else {
         format!("{secs:.2} s")
-    }
-}
-
-/// Formats a memory size in bytes using the largest binary unit that keeps the
-/// value readable.
-pub fn format_memory(bytes: f64) -> String {
-    let abs = bytes.abs();
-    if abs >= PIB {
-        format!("{:.2} PiB", bytes / PIB)
-    } else if abs >= TIB {
-        format!("{:.2} TiB", bytes / TIB)
-    } else if abs >= GIB {
-        format!("{:.2} GiB", bytes / GIB)
-    } else if abs >= MIB {
-        format!("{:.2} MiB", bytes / MIB)
-    } else if abs >= KIB {
-        format!("{:.2} KiB", bytes / KIB)
-    } else {
-        format!("{bytes:.0} B")
     }
 }
 
@@ -129,25 +84,11 @@ mod tests {
     }
 
     #[test]
-    fn memory_ratios_are_consistent() {
-        assert_eq!(gib(1.0), 1024.0 * 1024.0 * 1024.0);
-        assert_eq!(tib(1.0), 1024.0 * gib(1.0));
-    }
-
-    #[test]
     fn duration_formatting_picks_units() {
         assert_eq!(format_duration(30.0), "30.00 s");
         assert_eq!(format_duration(90.0), "1.50 min");
         assert_eq!(format_duration(hours(2.0)), "2.00 h");
         assert_eq!(format_duration(days(3.0)), "3.00 d");
         assert_eq!(format_duration(weeks(1.0)), "1.00 w");
-    }
-
-    #[test]
-    fn memory_formatting_picks_units() {
-        assert_eq!(format_memory(512.0), "512 B");
-        assert_eq!(format_memory(KIB * 2.0), "2.00 KiB");
-        assert_eq!(format_memory(GIB * 1.5), "1.50 GiB");
-        assert_eq!(format_memory(PIB * 1.25), "1.25 PiB");
     }
 }
