@@ -63,11 +63,6 @@ impl BlockCyclicLayout {
         }
         Ok(out)
     }
-
-    /// Number of entries of an `rows × cols` matrix owned by `rank`.
-    pub fn local_count(&self, rank: usize, rows: usize, cols: usize) -> Result<usize> {
-        Ok(self.entries_of(rank, rows, cols)?.len())
-    }
 }
 
 /// A global matrix together with its (virtual) distribution, able to simulate
@@ -177,7 +172,7 @@ mod tests {
         // owns exactly 12*12/6 = 24 entries.
         let layout = layout_2x3(2);
         for rank in 0..6 {
-            assert_eq!(layout.local_count(rank, 12, 12).unwrap(), 24);
+            assert_eq!(layout.entries_of(rank, 12, 12).unwrap().len(), 24);
         }
     }
 

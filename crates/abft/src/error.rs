@@ -31,11 +31,6 @@ pub enum AbftError {
         /// The pivot value.
         value: f64,
     },
-    /// The matrix is not symmetric positive definite (Cholesky only).
-    NotPositiveDefinite {
-        /// Step at which positive definiteness failed.
-        step: usize,
-    },
     /// Recovery was asked for more simultaneous failures than the checksum
     /// encoding can tolerate.
     TooManyFailures {
@@ -78,9 +73,6 @@ impl fmt::Display for AbftError {
             ),
             AbftError::SingularPivot { step, value } => {
                 write!(f, "singular pivot {value:e} at elimination step {step}")
-            }
-            AbftError::NotPositiveDefinite { step } => {
-                write!(f, "matrix is not positive definite (detected at step {step})")
             }
             AbftError::TooManyFailures { failed, tolerated } => write!(
                 f,

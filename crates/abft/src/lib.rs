@@ -2,25 +2,21 @@
 //!
 //! An in-memory, algorithm-level implementation of the ABFT techniques the
 //! composite protocol of Bosilca et al. (APDCM 2014) assumes for its LIBRARY
-//! phases: checksum-encoded dense linear algebra à la Huang–Abraham and
-//! Du et al. (PPoPP 2012), with process-failure injection and recovery.
+//! phases: block-group checksums à la Du et al. (PPoPP 2012), with
+//! process-failure injection and recovery.
 //!
 //! * [`matrix`] — a small dense-matrix type (row-major `f64`) with the
-//!   operations the factorizations need;
-//! * [`checksum`] — checksum weights and encodings (row / column / full) and
-//!   the single-failure recovery arithmetic;
-//! * [`gemm`] — ABFT matrix multiplication (the textbook Huang–Abraham
-//!   scheme): encode, multiply, verify, recover;
+//!   operations the factorization needs;
+//! * [`checksum`] — the block-group layout that decides which checksum
+//!   protects which entry;
 //! * [`lu`] — right-looking LU factorization (no pivoting) on a
 //!   checksum-augmented matrix, with mid-factorization failure recovery;
-//! * [`cholesky`] — right-looking Cholesky with trailing-matrix checksum
-//!   protection;
 //! * [`blockcyclic`] — 2-D block-cyclic ownership map over a virtual process
 //!   grid, used to decide *which* entries a process failure destroys;
-//! * [`fault`] — failure injection: kill a rank, enumerate and zero the
-//!   entries it owned;
-//! * [`recovery`] — rebuilding the lost entries from surviving data and
-//!   checksums;
+//! * [`recovery`] — a dataset kept checksum-encoded at rest, whose lost
+//!   entries are rebuilt from the surviving data and the checksums; the
+//!   composite runtime of `ft-composite` repairs LIBRARY-phase failures
+//!   with it;
 //! * [`overhead`] — measurement of the ABFT overhead factor `φ` and of the
 //!   reconstruction time `Recons_ABFT`, the two quantities the analytical
 //!   model consumes.
@@ -32,9 +28,9 @@
 //! This preserves exactly the property the paper relies on — *lost LIBRARY
 //! data can be recomputed from the surviving processes' data and checksums,
 //! without any rollback* — while keeping the substrate testable on a laptop.
-//! The factorizations skip pivoting (appropriate for the diagonally-dominant
-//! and SPD test matrices used throughout), which is documented on each
-//! factorization type.
+//! The LU factorization skips pivoting (appropriate for the
+//! diagonally-dominant test matrices used throughout), which is documented
+//! on its type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,21 +38,14 @@
 
 pub mod blockcyclic;
 pub mod checksum;
-pub mod cholesky;
 pub mod error;
-pub mod fault;
-pub mod gemm;
 pub mod lu;
 pub mod matrix;
 pub mod overhead;
 pub mod recovery;
 
 pub use blockcyclic::BlockCyclicLayout;
-pub use checksum::ChecksumWeights;
-pub use cholesky::{plain_cholesky, AbftCholesky};
 pub use error::AbftError;
-pub use fault::FaultInjector;
-pub use gemm::AbftGemm;
 pub use lu::{blocked_lu, plain_lu, AbftLu};
 pub use matrix::Matrix;
 pub use overhead::{measure_overhead, OverheadReport};

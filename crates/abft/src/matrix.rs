@@ -1,10 +1,11 @@
 //! Dense row-major `f64` matrices.
 //!
-//! Deliberately minimal: only the operations the ABFT factorizations and
-//! their tests need.  The multiplication kernel is tiled into register-
-//! blocked micro-kernels (see [`Matrix::matmul`]) and parallelises over row
-//! blocks with Rayon when the matrix is large enough for that to pay off
-//! (the crate-internal `PAR_THRESHOLD`, shared with the blocked LU).
+//! Deliberately minimal: only the operations the LU factorization, the
+//! protected dataset and their tests need.  The multiplication kernel is
+//! tiled into register-blocked micro-kernels (see [`Matrix::matmul`]) and
+//! parallelises over row blocks with Rayon when the matrix is large enough
+//! for that to pay off (the crate-internal `PAR_THRESHOLD`, shared with the
+//! blocked LU).
 
 use ft_platform::rng::{DeterministicRng, Xoshiro256};
 use rayon::prelude::*;
@@ -83,17 +84,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a random symmetric positive-definite matrix (`B Bᵀ + n·I`).
-    pub fn random_spd(n: usize, seed: u64) -> Self {
-        let b = Self::random(n, n, seed);
-        let mut m = b.matmul(&b.transpose()).expect("square product");
-        for i in 0..n {
-            let v = m.get(i, i);
-            m.set(i, i, v + n as f64);
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -118,24 +108,11 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Element access (panics in debug if out of bounds; use [`Matrix::try_get`]
-    /// for checked access).
+    /// Element access (panics in debug if out of bounds).
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i * self.cols + j]
-    }
-
-    /// Checked element access.
-    pub fn try_get(&self, i: usize, j: usize) -> Result<f64> {
-        if i >= self.rows || j >= self.cols {
-            return Err(AbftError::IndexOutOfBounds {
-                row: i,
-                col: j,
-                dims: (self.rows, self.cols),
-            });
-        }
-        Ok(self.data[i * self.cols + j])
     }
 
     /// Element assignment.
@@ -150,17 +127,6 @@ impl Matrix {
     pub fn add_to(&mut self, i: usize, j: usize, v: f64) {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i * self.cols + j] += v;
-    }
-
-    /// Returns the transpose.
-    pub fn transpose(&self) -> Self {
-        let mut t = Self::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t.data[j * self.rows + i] = self.data[i * self.cols + j];
-            }
-        }
-        t
     }
 
     /// Matrix multiplication `self * rhs`, tiled into 4×8 (`MR × NR`)
@@ -290,23 +256,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix–vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
-            return Err(AbftError::DimensionMismatch {
-                op: "matvec",
-                left: (self.rows, self.cols),
-                right: (v.len(), 1),
-            });
-        }
-        Ok((0..self.rows)
-            .map(|i| {
-                let row = &self.data[i * self.cols..(i + 1) * self.cols];
-                row.iter().zip(v).map(|(a, b)| a * b).sum()
-            })
-            .collect())
-    }
-
     /// Element-wise difference `self - rhs`.
     pub fn sub(&self, rhs: &Matrix) -> Result<Matrix> {
         if self.rows != rhs.rows || self.cols != rhs.cols {
@@ -329,32 +278,9 @@ impl Matrix {
         })
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Largest absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()))
-    }
-
-    /// Copy of a rectangular sub-block `[r0, r1) × [c0, c1)`.
-    pub fn block(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Result<Matrix> {
-        if r1 > self.rows || c1 > self.cols || r0 > r1 || c0 > c1 {
-            return Err(AbftError::IndexOutOfBounds {
-                row: r1,
-                col: c1,
-                dims: (self.rows, self.cols),
-            });
-        }
-        let mut out = Matrix::zeros(r1 - r0, c1 - c0);
-        for i in r0..r1 {
-            for j in c0..c1 {
-                out.set(i - r0, j - c0, self.get(i, j));
-            }
-        }
-        Ok(out)
     }
 
     /// Writes a block into `[r0, ...) × [c0, ...)`.
@@ -425,8 +351,6 @@ mod tests {
         assert_eq!((m.rows(), m.cols()), (2, 3));
         m.set(1, 2, 5.0);
         assert_eq!(m.get(1, 2), 5.0);
-        assert_eq!(m.try_get(1, 2).unwrap(), 5.0);
-        assert!(m.try_get(2, 0).is_err());
         assert!(Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]).is_err());
     }
 
@@ -491,33 +415,12 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let a = Matrix::random(4, 7, 11);
-        assert!(a.transpose().transpose().approx_eq(&a, 0.0));
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Matrix::random(6, 4, 5);
-        let v = vec![1.0, -2.0, 0.5, 3.0];
-        let mv = a.matvec(&v).unwrap();
-        let vm = Matrix::from_vec(4, 1, v).unwrap();
-        let prod = a.matmul(&vm).unwrap();
-        for (i, &mvi) in mv.iter().enumerate() {
-            assert!((mvi - prod.get(i, 0)).abs() < 1e-12);
-        }
-        assert!(a.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn block_round_trip() {
-        let a = Matrix::random(6, 6, 9);
-        let blk = a.block(1, 4, 2, 5).unwrap();
-        assert_eq!((blk.rows(), blk.cols()), (3, 3));
+    fn set_block_writes_in_place_and_rejects_overflow() {
+        let blk = Matrix::random(3, 3, 9);
         let mut b = Matrix::zeros(6, 6);
         b.set_block(1, 2, &blk).unwrap();
-        assert_eq!(b.get(2, 3), a.get(2, 3));
-        assert!(a.block(0, 7, 0, 1).is_err());
+        assert_eq!(b.get(2, 3), blk.get(1, 1));
+        assert_eq!(b.get(0, 2), 0.0);
         assert!(Matrix::zeros(2, 2).set_block(1, 1, &blk).is_err());
     }
 
@@ -531,19 +434,8 @@ mod tests {
     }
 
     #[test]
-    fn spd_matrices_are_symmetric() {
-        let m = Matrix::random_spd(15, 123);
-        assert!(m.approx_eq(&m.transpose(), 1e-9));
-        // Gershgorin-ish sanity: strongly positive diagonal.
-        for i in 0..15 {
-            assert!(m.get(i, i) > 0.0);
-        }
-    }
-
-    #[test]
     fn norms_behave() {
         let m = Matrix::from_vec(2, 2, vec![3.0, 0.0, 4.0, 0.0]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
         assert_eq!(m.max_abs(), 4.0);
         assert_eq!(m.max_abs_diff(&m).unwrap(), 0.0);
     }

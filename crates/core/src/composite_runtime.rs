@@ -3,9 +3,11 @@
 //! [`CompositeRuntime`] drives the `ft-ckpt` substrate with the decisions of
 //! the ABFT&PeriodicCkpt protocol on *real process state*: forced partial
 //! checkpoints at library entry/exit, periodic coordinated checkpoints in
-//! GENERAL phases, rollback recovery for GENERAL-phase failures and
-//! ABFT-style reconstruction (an erasure-coded parity of the LIBRARY dataset
-//! maintained at phase boundaries) for LIBRARY-phase failures.
+//! GENERAL phases, rollback recovery for GENERAL-phase failures and ABFT
+//! reconstruction for LIBRARY-phase failures: at library entry the LIBRARY
+//! dataset is encoded as an `ft-abft` [`ProtectedDataset`], and a failed
+//! rank's LIBRARY bytes are rebuilt from the checksums and the surviving
+//! ranks' data, without rollback.
 //!
 //! The runtime is *not* the performance simulator (`ft-sim` is): its role is
 //! to demonstrate, with byte-exact data, that the protocol's recovery paths
@@ -15,11 +17,16 @@
 
 use std::ops::Range;
 
+use ft_abft::blockcyclic::{BlockCyclicLayout, DistributedMatrix};
+use ft_abft::error::AbftError;
+use ft_abft::matrix::Matrix;
+use ft_abft::recovery::ProtectedDataset;
 use ft_ckpt::coordinated::CoordinatedCheckpoint;
 use ft_ckpt::frame::{decode_coordinated, encode_coordinated};
 use ft_ckpt::partial::PartialCheckpoint;
 use ft_ckpt::restore::{restore_full, restore_partial};
 use ft_ckpt::state::{DatasetKind, ProcessSet};
+use ft_platform::grid::ProcessGrid;
 
 use crate::error::{ModelError, Result};
 use crate::params::ModelParams;
@@ -125,10 +132,8 @@ impl RunReport {
 /// A serializable snapshot of a [`CompositeRuntime`] at an epoch boundary —
 /// everything the runtime needs to continue bit-identically: the live
 /// process image, the rollback target, the accounted clock, the event trace
-/// so far and the next epoch to execute.  The LIBRARY parity is *not*
-/// stored: at an epoch boundary it is a pure function of the process image
-/// (last refreshed at library exit, with no mutation since) and is
-/// recomputed on resume.
+/// so far and the next epoch to execute.  No ABFT checksums are stored:
+/// they exist only inside a LIBRARY phase, never at an epoch boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeSnapshot {
     /// Index of the next epoch to execute.
@@ -289,17 +294,14 @@ pub struct CompositeRuntime {
     clock: f64,
     events: Vec<RuntimeEvent>,
     last_full_checkpoint: CoordinatedCheckpoint,
-    library_parity: Vec<u8>,
     next_epoch: usize,
 }
 
 impl CompositeRuntime {
     /// Creates a runtime over an initial process set; an initial coordinated
-    /// checkpoint is taken at time 0 (cost accounted), and the LIBRARY-parity
-    /// redundancy is initialised.
+    /// checkpoint is taken at time 0 (cost accounted).
     pub fn new(processes: ProcessSet, params: ModelParams) -> Self {
         let mut rt = Self {
-            library_parity: Vec::new(),
             last_full_checkpoint: CoordinatedCheckpoint::capture(&processes, 0.0),
             processes,
             params,
@@ -308,7 +310,6 @@ impl CompositeRuntime {
             next_epoch: 0,
         };
         rt.clock += rt.params.checkpoint_cost;
-        rt.refresh_parity();
         rt
     }
 
@@ -317,47 +318,55 @@ impl CompositeRuntime {
         &self.processes
     }
 
-    /// Recomputes the XOR parity of all LIBRARY regions (the runtime's
-    /// stand-in for the ABFT checksums maintained by the library call).
-    fn refresh_parity(&mut self) {
-        let mut parity: Vec<u8> = Vec::new();
+    /// Encodes the LIBRARY dataset for ABFT protection: a `rows × P`
+    /// matrix over a 1 × P grid with unit blocks, so column `r` is owned by
+    /// rank `r` and holds its LIBRARY bytes (regions concatenated in region
+    /// order, zero-padded to the longest rank).  Bytes are small integers
+    /// and the checksum sums stay far below 2^53, so the checksum arithmetic
+    /// and every rebuilt byte are exact.
+    fn protect_library(&self) -> Result<ProtectedDataset> {
+        let rows = self
+            .processes
+            .iter()
+            .map(|p| p.footprint_of(DatasetKind::Library))
+            .max()
+            .unwrap_or(0);
+        let mut columns = Matrix::zeros(rows, self.processes.len());
         for p in self.processes.iter() {
-            for r in p.regions_of(DatasetKind::Library) {
-                if parity.len() < r.len() {
-                    parity.resize(r.len(), 0);
-                }
-                for (acc, b) in parity.iter_mut().zip(r.data()) {
-                    *acc ^= b;
-                }
+            let bytes = p.regions_of(DatasetKind::Library).flat_map(|r| r.data());
+            for (i, &b) in bytes.enumerate() {
+                columns.set(i, p.rank(), f64::from(b));
             }
         }
-        self.library_parity = parity;
+        let grid = ProcessGrid::new(1, self.processes.len())
+            .map_err(|_| ModelError::OutsideValidityDomain { what: "process count" })?;
+        let layout = BlockCyclicLayout::new(grid, 1);
+        Ok(ProtectedDataset::encode(DistributedMatrix::new(columns, layout)))
     }
 
-    /// Rebuilds the LIBRARY regions of `rank` from the parity and the
-    /// surviving ranks.
-    fn reconstruct_library(&mut self, rank: usize) -> Result<()> {
-        let mut rebuilt = self.library_parity.clone();
-        for p in self.processes.iter() {
-            if p.rank() == rank {
-                continue;
-            }
-            for r in p.regions_of(DatasetKind::Library) {
-                for (acc, b) in rebuilt.iter_mut().zip(r.data()) {
-                    *acc ^= b;
-                }
+    /// Rebuilds the LIBRARY regions of the failed `rank` from the checksums
+    /// of `library` and writes them back, in region order.
+    fn reconstruct_library(&mut self, library: &mut ProtectedDataset, rank: usize) -> Result<()> {
+        match library.fail_and_reconstruct(rank) {
+            // No LIBRARY bytes anywhere: nothing was lost.
+            Ok(_) | Err(AbftError::NothingToRecover) => {}
+            Err(_) => {
+                return Err(ModelError::OutsideValidityDomain { what: "library reconstruction" })
             }
         }
+        let columns = library.matrix().global();
         let process = self
             .processes
             .process_mut(rank)
             .map_err(|_| ModelError::OutsideValidityDomain { what: "victim rank" })?;
-        let ids: Vec<(usize, usize)> = process
+        let regions: Vec<(usize, usize)> = process
             .regions_of(DatasetKind::Library)
             .map(|r| (r.id, r.len()))
             .collect();
-        for (id, len) in ids {
-            let data = rebuilt[..len.min(rebuilt.len())].to_vec();
+        let mut row = 0;
+        for (id, len) in regions {
+            let data = (row..row + len).map(|i| columns.get(i, rank) as u8).collect();
+            row += len;
             process
                 .region_mut(id)
                 .map_err(|_| ModelError::OutsideValidityDomain { what: "library region" })?
@@ -432,26 +441,22 @@ impl CompositeRuntime {
     }
 
     /// Reconstitutes a runtime from a snapshot — the crash-resume path where
-    /// no live process survives.  The LIBRARY parity is recomputed from the
-    /// materialized image (exact at epoch boundaries); continuing with
-    /// [`CompositeRuntime::run_range`] from `snapshot.next_epoch` reproduces
-    /// the uninterrupted run bit-identically.
+    /// no live process survives.  Continuing with [`CompositeRuntime::run_range`]
+    /// from `snapshot.next_epoch` reproduces the uninterrupted run
+    /// bit-identically.
     pub fn resume_from(snapshot: &RuntimeSnapshot, params: ModelParams) -> Result<Self> {
         let processes = snapshot
             .image
             .materialize()
             .map_err(|_| ModelError::OutsideValidityDomain { what: "snapshot image" })?;
-        let mut rt = Self {
-            library_parity: Vec::new(),
+        Ok(Self {
             last_full_checkpoint: snapshot.last_full_checkpoint.clone(),
             processes,
             params,
             clock: f64::from_bits(snapshot.clock_bits),
             events: snapshot.events.clone(),
             next_epoch: snapshot.next_epoch,
-        };
-        rt.refresh_parity();
-        Ok(rt)
+        })
     }
 
     /// Builds the run report for the work executed so far.
@@ -466,9 +471,10 @@ impl CompositeRuntime {
 
     /// Executes the epochs `range` of a profile (both ends are epoch
     /// indices). Ranges outside the profile are rejected; an empty range is
-    /// a no-op.  Splitting a run into consecutive ranges — optionally
-    /// crossing a [`RuntimeSnapshot`] round trip between them — produces the
-    /// same state, clock and trace as one full-range call.
+    /// a no-op, and a failure whose `fraction` is not finite is rejected
+    /// before any epoch runs.  Splitting a run into consecutive ranges —
+    /// optionally crossing a [`RuntimeSnapshot`] round trip between them —
+    /// produces the same state, clock and trace as one full-range call.
     pub fn run_range(
         &mut self,
         profile: &ApplicationProfile,
@@ -477,6 +483,9 @@ impl CompositeRuntime {
     ) -> Result<()> {
         if range.end > profile.epochs().len() {
             return Err(ModelError::OutsideValidityDomain { what: "epoch range" });
+        }
+        if failures.iter().any(|f| !f.fraction.is_finite()) {
+            return Err(ModelError::OutsideValidityDomain { what: "failure fraction" });
         }
         let period = paper_optimal_period(
             self.params.checkpoint_cost,
@@ -537,7 +546,6 @@ impl CompositeRuntime {
                     }
                     if executed < phase_end && (next_checkpoint_at - executed).abs() < 1e-9 {
                         // Periodic checkpoint.
-                        self.apply_general_op_partial();
                         self.last_full_checkpoint =
                             CoordinatedCheckpoint::capture(&self.processes, self.clock);
                         self.clock += self.params.checkpoint_cost;
@@ -560,7 +568,8 @@ impl CompositeRuntime {
                     time: self.clock,
                     epoch: epoch_index,
                 });
-                self.refresh_parity();
+                // The library call keeps its dataset checksum-encoded.
+                let mut library = self.protect_library()?;
 
                 let abft_duration = self.params.phi * epoch.library;
                 let mut phase_failures: Vec<&PlannedFailure> = failures
@@ -585,10 +594,10 @@ impl CompositeRuntime {
                         .map_err(|_| ModelError::OutsideValidityDomain { what: "victim rank" })?
                         .crash();
                     // ABFT recovery: REMAINDER from the entry checkpoint,
-                    // LIBRARY from the parity redundancy. No rollback.
+                    // LIBRARY from the checksums. No rollback.
                     restore_partial(&entry, &mut self.processes, Some(&[failure.rank]))
                         .map_err(|_| ModelError::OutsideValidityDomain { what: "entry restore" })?;
-                    self.reconstruct_library(failure.rank)?;
+                    self.reconstruct_library(&mut library, failure.rank)?;
                     // Restore the process stack (progress) to the value the
                     // entry checkpoint recorded — the library call resumes
                     // where the surviving processes are.
@@ -611,7 +620,6 @@ impl CompositeRuntime {
                 }
                 // The library call's results land in the LIBRARY dataset.
                 self.apply_library_op(epoch_index);
-                self.refresh_parity();
 
                 // Forced exit checkpoint of the LIBRARY dataset; combined with
                 // the entry checkpoint it forms the split coordinated
@@ -636,15 +644,6 @@ impl CompositeRuntime {
         }
 
         Ok(())
-    }
-
-    /// Progress marker applied when a periodic checkpoint is taken mid-phase
-    /// (keeps successive checkpoints distinguishable without changing the
-    /// deterministic end-of-phase state).
-    fn apply_general_op_partial(&mut self) {
-        for p in self.processes.iter_mut() {
-            p.advance(0.0);
-        }
     }
 }
 
@@ -809,6 +808,45 @@ mod tests {
         assert!(rt.run_range(&profile, &[], 0..3).is_err());
         rt.run_range(&profile, &[], 1..1).unwrap();
         assert!(rt.report(&profile).events.is_empty());
+    }
+
+    #[test]
+    fn library_failure_on_a_set_without_library_data_loses_nothing() {
+        let params = params(0.5);
+        let profile = ApplicationProfile::from_params(&params);
+        let remainder_only = || {
+            let mut set = ProcessSet::new(3);
+            for p in set.iter_mut() {
+                p.add_region(DatasetKind::Remainder, vec![7; 32]);
+            }
+            set
+        };
+        let clean = CompositeRuntime::new(remainder_only(), params).run(&profile, &[]).unwrap();
+        let failure = PlannedFailure { epoch: 0, phase: PhaseKind::Library, fraction: 0.5, rank: 1 };
+        let faulty = CompositeRuntime::new(remainder_only(), params)
+            .run(&profile, &[failure])
+            .unwrap();
+        assert_eq!(faulty.final_fingerprint, clean.final_fingerprint);
+        assert_eq!(faulty.count_events(|e| matches!(e, RuntimeEvent::AbftRecovery { .. })), 1);
+    }
+
+    #[test]
+    fn non_finite_failure_fractions_are_rejected_before_any_epoch() {
+        let params = params(0.5);
+        let profile = ApplicationProfile::from_params_repeated(&params, 2);
+        for (phase, fraction) in [
+            (PhaseKind::General, f64::NAN),
+            (PhaseKind::Library, f64::NAN),
+            (PhaseKind::General, f64::INFINITY),
+        ] {
+            let mut rt = CompositeRuntime::new(processes(), params);
+            let failure = PlannedFailure { epoch: 1, phase, fraction, rank: 0 };
+            assert_eq!(
+                rt.run(&profile, &[failure]),
+                Err(ModelError::OutsideValidityDomain { what: "failure fraction" })
+            );
+            assert!(rt.report(&profile).events.is_empty());
+        }
     }
 
     #[test]

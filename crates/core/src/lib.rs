@@ -21,7 +21,7 @@
 //!   phases) consumed by the simulator and by the composite runtime;
 //! * [`composite_runtime`] — an executable state machine of the composite
 //!   protocol driving the `ft-ckpt` substrate on real process state, with
-//!   ABFT-style parity reconstruction of the LIBRARY dataset;
+//!   LIBRARY-phase failures repaired by `ft-abft` checksum reconstruction;
 //! * [`scaling`] — the weak-scaling scenario generators behind Figures 8, 9
 //!   and 10 of the paper.
 

@@ -1,9 +1,9 @@
 //! End-to-end integration across every substrate: the composite runtime
-//! drives real process state through checkpoints and failures, and the ABFT
-//! substrate factorizes a real matrix while losing a process — the two
-//! halves of the protocol the paper composes.
+//! drives real process state through checkpoints and failures, rebuilding
+//! lost LIBRARY data from ABFT checksums, and the ABFT substrate factorizes
+//! a real matrix while losing a process — the two halves of the protocol
+//! the paper composes.
 
-use abft_ckpt_composite::abft::cholesky::AbftCholesky;
 use abft_ckpt_composite::abft::lu::{plain_lu, AbftLu};
 use abft_ckpt_composite::abft::matrix::Matrix;
 use abft_ckpt_composite::abft::recovery::ProtectedDataset;
@@ -11,7 +11,7 @@ use abft_ckpt_composite::abft::blockcyclic::{BlockCyclicLayout, DistributedMatri
 use abft_ckpt_composite::composite::composite_runtime::{CompositeRuntime, PlannedFailure, RuntimeEvent};
 use abft_ckpt_composite::composite::params::ModelParams;
 use abft_ckpt_composite::composite::scenario::{ApplicationProfile, PhaseKind};
-use ft_ckpt::state::ProcessSet;
+use ft_ckpt::state::{DatasetKind, ProcessSet};
 use ft_platform::grid::ProcessGrid;
 use ft_platform::units::{hours, minutes};
 
@@ -53,6 +53,46 @@ fn composite_runtime_survives_failures_in_both_phases_with_identical_final_state
     assert_eq!(faulty.count_events(|e| matches!(e, RuntimeEvent::ExitCheckpoint { .. })), 3);
 }
 
+/// Four ranks whose LIBRARY data spans two regions with a REMAINDER region
+/// between them.  With `ragged`, the region lengths differ from rank to
+/// rank, and so does each rank's total LIBRARY size.
+fn two_library_regions_per_rank(ragged: bool) -> ProcessSet {
+    let bytes = |len: usize, step: usize, offset: usize| -> Vec<u8> {
+        (0..len).map(|i| (i * step + offset) as u8).collect()
+    };
+    let mut set = ProcessSet::new(4);
+    for rank in 0..4 {
+        let (first, second) = if ragged { (64 + 24 * rank, 200 - 50 * rank) } else { (96, 160) };
+        let p = set.process_mut(rank).unwrap();
+        p.add_region(DatasetKind::Library, bytes(first, 5, rank * 11));
+        p.add_region(DatasetKind::Remainder, bytes(48, 7, rank));
+        p.add_region(DatasetKind::Library, bytes(second, 3, rank * 7 + 1));
+    }
+    set
+}
+
+#[test]
+fn library_failures_on_ranks_with_several_library_regions_recover_exactly() {
+    let params = params();
+    let profile = ApplicationProfile::from_params_repeated(&params, 2);
+    for ragged in [false, true] {
+        let mk = || two_library_regions_per_rank(ragged);
+        let clean = CompositeRuntime::new(mk(), params).run(&profile, &[]).unwrap();
+        for rank in 0..4 {
+            let failure =
+                PlannedFailure { epoch: 1, phase: PhaseKind::Library, fraction: 0.4, rank };
+            let faulty = CompositeRuntime::new(mk(), params).run(&profile, &[failure]).unwrap();
+            assert_eq!(
+                faulty.final_fingerprint, clean.final_fingerprint,
+                "ragged {ragged}, victim rank {rank}"
+            );
+            let recoveries =
+                faulty.count_events(|e| matches!(e, RuntimeEvent::AbftRecovery { .. }));
+            assert_eq!(recoveries, 1);
+        }
+    }
+}
+
 #[test]
 fn abft_lu_survives_one_failure_per_phase_of_the_factorization() {
     let n = 36;
@@ -84,8 +124,8 @@ fn abft_lu_survives_one_failure_per_phase_of_the_factorization() {
 }
 
 #[test]
-fn abft_cholesky_and_protected_dataset_cover_the_library_dataset_lifecycle() {
-    // The LIBRARY dataset at rest is protected by checksums between calls…
+fn protected_dataset_rebuilds_the_entries_of_a_lost_rank() {
+    // The LIBRARY dataset at rest is protected by checksums between calls.
     let grid = ProcessGrid::new(2, 2).unwrap();
     let data = Matrix::random(16, 16, 3);
     let layout = BlockCyclicLayout::new(grid, 4);
@@ -93,15 +133,6 @@ fn abft_cholesky_and_protected_dataset_cover_the_library_dataset_lifecycle() {
     let outcome = dataset.fail_and_reconstruct(2).unwrap();
     assert!(outcome.entries > 0);
     assert!(dataset.matrix().global().approx_eq(&data, 1e-9));
-
-    // …and during the call by the protected factorization.
-    let spd = Matrix::random_spd(24, 11);
-    let mut chol = AbftCholesky::new(&spd, &grid, 4).unwrap();
-    chol.factor_steps(10).unwrap();
-    let lost = chol.inject_failure(1).unwrap();
-    chol.recover(&lost).unwrap();
-    chol.factor_to_completion().unwrap();
-    assert!(chol.residual(&spd).unwrap() < 1e-8);
 }
 
 /// Pins the final state of one run whose failures come from a fixed seed.
