@@ -471,10 +471,11 @@ impl CompositeRuntime {
 
     /// Executes the epochs `range` of a profile (both ends are epoch
     /// indices). Ranges outside the profile are rejected; an empty range is
-    /// a no-op, and a failure whose `fraction` is not finite is rejected
-    /// before any epoch runs.  Splitting a run into consecutive ranges —
-    /// optionally crossing a [`RuntimeSnapshot`] round trip between them —
-    /// produces the same state, clock and trace as one full-range call.
+    /// a no-op, and a failure whose `fraction` is not finite or whose `rank`
+    /// is not in the process set is rejected before any epoch runs.
+    /// Splitting a run into consecutive ranges — optionally crossing a
+    /// [`RuntimeSnapshot`] round trip between them — produces the same
+    /// state, clock and trace as one full-range call.
     pub fn run_range(
         &mut self,
         profile: &ApplicationProfile,
@@ -486,6 +487,9 @@ impl CompositeRuntime {
         }
         if failures.iter().any(|f| !f.fraction.is_finite()) {
             return Err(ModelError::OutsideValidityDomain { what: "failure fraction" });
+        }
+        if failures.iter().any(|f| f.rank >= self.processes.len()) {
+            return Err(ModelError::OutsideValidityDomain { what: "victim rank" });
         }
         let period = paper_optimal_period(
             self.params.checkpoint_cost,
@@ -846,6 +850,25 @@ mod tests {
                 Err(ModelError::OutsideValidityDomain { what: "failure fraction" })
             );
             assert!(rt.report(&profile).events.is_empty());
+        }
+    }
+
+    #[test]
+    fn out_of_range_victim_ranks_are_rejected_before_any_epoch() {
+        let params = params(0.5);
+        let profile = ApplicationProfile::from_params_repeated(&params, 2);
+        for phase in [PhaseKind::General, PhaseKind::Library] {
+            let mut rt = CompositeRuntime::new(processes(), params);
+            let before = rt.snapshot();
+            let failure = PlannedFailure { epoch: 1, phase, fraction: 0.5, rank: 9 };
+            assert_eq!(
+                rt.run(&profile, &[failure]),
+                Err(ModelError::OutsideValidityDomain { what: "victim rank" })
+            );
+            let after = rt.snapshot();
+            assert!(after.events.is_empty(), "{phase:?}");
+            assert_eq!(after.clock_bits, before.clock_bits, "{phase:?}");
+            assert_eq!(after.next_epoch, before.next_epoch, "{phase:?}");
         }
     }
 

@@ -8,8 +8,9 @@
 //! * [`trace`] — replayable recordings of one sampled failure sequence, the
 //!   common random numbers behind paired protocol comparisons;
 //! * [`batch`] — lane-indexed batch failure sampling (independent streams,
-//!   antithetic partners and trace replay per lane) for the
-//!   structure-of-arrays simulation engine;
+//!   antithetic partners and trace replay per lane) and the run-time
+//!   dispatched lane kernel of the fast pass, for the structure-of-arrays
+//!   simulation engine;
 //! * [`grid`] — the virtual 2-D process grid used by the ABFT substrate;
 //! * [`scenario`] — trace-driven and non-stationary failure scenarios
 //!   (recorded-trace playback, cascade bursts, diurnal modulation,
@@ -46,7 +47,10 @@ pub mod special;
 pub mod trace;
 pub mod units;
 
-pub use batch::{BatchFailureSource, BatchFailureStream, BatchTraceBuffer, BatchTraceCursor};
+pub use batch::{
+    BatchFailureSource, BatchFailureStream, BatchTraceBuffer, BatchTraceCursor, CommitKernel,
+    Worklist,
+};
 pub use checksum::{ChecksumGen, Crc32, NullChecksum};
 pub use error::PlatformError;
 pub use failure::{

@@ -501,6 +501,10 @@ pub struct CascadeFailures {
     aftershocks: f64,
     aftershock_gap: f64,
     primary_gap: f64,
+    /// `ln(m/(1 + m))`, the log-survival of the cluster-size draw: a
+    /// constant of the model, taken once here instead of at every cluster
+    /// start.
+    ln_survival: f64,
 }
 
 impl CascadeFailures {
@@ -518,6 +522,7 @@ impl CascadeFailures {
             aftershocks,
             aftershock_gap,
             primary_gap,
+            ln_survival: (aftershocks / (1.0 + aftershocks)).ln(),
         })
     }
 
@@ -580,8 +585,7 @@ impl FailureModel for CascadeFailures {
         let u = rng.next_f64_open();
         // K ~ Geometric on {0, 1, …} with survival (1 − p)^k, p = 1/(1 + m),
         // so E[K] = m: K = ⌊ln u / ln(m/(1 + m))⌋.
-        let survival = self.aftershocks / (1.0 + self.aftershocks);
-        state.count = (u.ln() / survival.ln()) as u64;
+        state.count = (u.ln() / self.ln_survival) as u64;
         prev + gap
     }
 }

@@ -36,8 +36,10 @@
 //!   `end < next_failure` on the block's end implies every intermediate
 //!   `try_run` test — for a work+checkpoint period `(now + work) + ckpt <
 //!   next_failure` implies `now + work < next_failure` — and the committed
-//!   end time is the bit pattern the clock would hold.  The pass keeps each
-//!   lane's sum in registers, eight lanes at a time;
+//!   end time is the bit pattern the clock would hold.  The pass is
+//!   `ft_platform::batch::CommitKernel`, picked once per run at run time
+//!   (AVX-512 where the CPU has it, a portable loop elsewhere; both add the
+//!   same terms in the same order and compare with the same ordered `<`);
 //! * **slow path** — a lane the optimistic pass misses is left untouched
 //!   and reruns the step on a [`SimClock`] over that lane's own failure
 //!   source, through the one interpreter every simulation path shares
@@ -81,7 +83,7 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use ft_composite::scenario::ApplicationProfile;
-use ft_platform::batch::{BatchFailureSource, BatchFailureStream};
+use ft_platform::batch::{BatchFailureSource, BatchFailureStream, CommitKernel, Worklist};
 use ft_platform::failure::FailureSource;
 use ft_platform::rng::SeedStream;
 
@@ -119,10 +121,10 @@ pub struct BatchState {
     /// test, in ascending lane order.  The slow path walks only this
     /// compacted list, so a step with few interrupted lanes never re-reads
     /// the dead ones.
-    interrupted: Vec<u32>,
+    interrupted: Worklist,
     /// Dense worklist of the lanes the current multi-step block missed, in
     /// ascending lane order: the lanes that replay the block step by step.
-    missed: Vec<u32>,
+    missed: Worklist,
 }
 
 impl BatchState {
@@ -150,7 +152,7 @@ impl BatchState {
         self.next_failure.clear();
         self.next_failure.resize(lanes, 0.0);
         source.fill_next_failures(lanes, &mut self.next_failure);
-        self.interrupted.clear();
+        self.interrupted.clear(lanes);
     }
 
     /// Replays `step`'s own fast-path test for every lane of the `missed`
@@ -158,18 +160,14 @@ impl BatchState {
     /// commits the step's first attempt, the rest are compacted into
     /// `interrupted`, in ascending lane order.
     fn replay_test(&mut self, step: Step) {
-        self.interrupted.clear();
-        self.interrupted.resize(self.missed.len(), 0);
-        let mut hits = 0usize;
-        for &lane in &self.missed {
-            let lane = lane as usize;
-            let end = first_attempt_end(self.now[lane], step);
-            let ok = end < self.next_failure[lane];
-            self.now[lane] = if ok { end } else { self.now[lane] };
-            self.interrupted[hits] = lane as u32;
-            hits += usize::from(!ok);
+        self.interrupted.clear(self.missed.len());
+        for &lane in self.missed.as_slice() {
+            let i = lane as usize;
+            let end = first_attempt_end(self.now[i], step);
+            let ok = end < self.next_failure[i];
+            self.now[i] = if ok { end } else { self.now[i] };
+            self.interrupted.push_if(lane, !ok);
         }
-        self.interrupted.truncate(hits);
     }
 
     /// Overwrites every lane's clock with `snapshot`'s, reusing this state's
@@ -203,9 +201,6 @@ impl<S: BatchFailureSource> FailureSource for BatchLane<'_, S> {
 
 /// Most steps one fused block spans.
 const MAX_BLOCK_STEPS: usize = 8;
-
-/// Lanes one fast-pass chunk holds in registers.
-const CHUNK: usize = 8;
 
 /// The failure-free cost terms of `step`, in the order its first attempt
 /// adds them to the clock: `([terms], count)`.
@@ -248,62 +243,66 @@ fn block_len(steps: &[Step], cap: f64) -> usize {
     len
 }
 
-/// The cost terms of a block's steps, flattened in first-attempt order:
-/// `([terms], count)`.
-#[inline]
-fn block_terms(block: &[Step]) -> ([f64; 2 * MAX_BLOCK_STEPS], usize) {
-    let mut terms = [0.0; 2 * MAX_BLOCK_STEPS];
-    let mut len = 0;
-    for &step in block {
-        let (step_terms, n) = cost_terms(step);
-        terms[len..len + n].copy_from_slice(&step_terms[..n]);
-        len += n;
-    }
-    (terms, len)
+/// A step range of one program cut into its blocks once, with each block's
+/// cost terms flattened in first-attempt order: what
+/// [`BatchProgram::run_steps`] walks.  Consecutive blocks of the same
+/// length and the same terms, bit for bit, are stored once as a run; each
+/// block starts where the previous one ended.
+#[derive(Debug, Clone, Default)]
+struct BlockLayout {
+    /// The first step of the range.
+    start: usize,
+    /// The runs of equal blocks, in order.
+    runs: Vec<BlockRun>,
+    /// Each run's cost terms, back to back.
+    terms: Vec<f64>,
 }
 
-/// Advances every lane through a block whose cost terms are `terms`,
-/// branch-free: each lane's end time is the block's additions in order (the
-/// exact float additions, in the exact order, of the scalar engine's first
-/// attempts), held in registers [`CHUNK`] lanes at a time, and one compare
-/// with the lane's next failure commits it.  A lane whose end does not stay
-/// strictly before its next failure is left untouched and **compacted**
-/// into `worklist`, a dense list of lane indices in ascending order.  The
-/// worklist write is unconditional with a predicated length bump, so the
-/// pass stays branch-free even when misses are common.
-#[inline]
-fn fast_pass(now: &mut [f64], next_failure: &[f64], worklist: &mut Vec<u32>, terms: &[f64]) {
-    worklist.clear();
-    worklist.resize(now.len(), 0);
-    let mut hits = 0usize;
-    let (chunks, tail) = now.as_chunks_mut::<CHUNK>();
-    let (failure_chunks, failure_tail) = next_failure.as_chunks::<CHUNK>();
-    let base = chunks.len() * CHUNK;
-    for (c, (t, nf)) in chunks.iter_mut().zip(failure_chunks).enumerate() {
-        let mut end = *t;
-        for &a in terms {
-            for e in &mut end {
-                *e += a;
+/// `count` consecutive blocks of `steps` steps each, whose `terms` cost
+/// terms are the same bits.
+#[derive(Debug, Clone, Copy)]
+struct BlockRun {
+    steps: u8,
+    terms: u8,
+    count: usize,
+}
+
+impl BlockLayout {
+    /// The blocks [`BatchProgram::blocks`] takes over `steps` of `program`.
+    fn new(program: &BatchProgram, steps: Range<usize>) -> Self {
+        let mut layout = Self {
+            start: steps.start,
+            ..Self::default()
+        };
+        for block in program.blocks(steps) {
+            let first_term = layout.terms.len();
+            for &step in &program.steps[block.clone()] {
+                let (terms, n) = cost_terms(step);
+                layout.terms.extend_from_slice(&terms[..n]);
+            }
+            // `block_len` caps a block at `MAX_BLOCK_STEPS` steps of at
+            // most two terms each, so both counts fit a byte.
+            let run = BlockRun {
+                steps: block.len() as u8,
+                terms: (layout.terms.len() - first_term) as u8,
+                count: 1,
+            };
+            match layout.runs.last_mut() {
+                Some(last)
+                    if (last.steps, last.terms) == (run.steps, run.terms)
+                        && layout.terms[first_term - usize::from(run.terms)..]
+                            .iter()
+                            .zip(&layout.terms[first_term..])
+                            .all(|(a, b)| a.to_bits() == b.to_bits()) =>
+                {
+                    last.count += 1;
+                    layout.terms.truncate(first_term);
+                }
+                _ => layout.runs.push(run),
             }
         }
-        let mut ok = [false; CHUNK];
-        for lane in 0..CHUNK {
-            ok[lane] = end[lane] < nf[lane];
-            t[lane] = if ok[lane] { end[lane] } else { t[lane] };
-        }
-        for (lane, ok) in ok.into_iter().enumerate() {
-            worklist[hits] = (c * CHUNK + lane) as u32;
-            hits += usize::from(!ok);
-        }
+        layout
     }
-    for (lane, (t, &nf)) in tail.iter_mut().zip(failure_tail).enumerate() {
-        let end = terms.iter().fold(*t, |e, &a| e + a);
-        let ok = end < nf;
-        *t = if ok { end } else { *t };
-        worklist[hits] = (base + lane) as u32;
-        hits += usize::from(!ok);
-    }
-    worklist.truncate(hits);
 }
 
 impl BatchProgram {
@@ -348,47 +347,57 @@ impl BatchProgram {
     /// results with [`BatchProgram::outcome`] afterwards.
     pub fn run<S: BatchFailureSource>(&self, source: &mut S, state: &mut BatchState) {
         state.reset(source);
-        self.run_steps(source, state, 0..self.steps.len());
+        let layout = BlockLayout::new(self, 0..self.steps.len());
+        self.run_steps(&layout, CommitKernel::detect(), source, state);
     }
 
-    /// Advances every lane of `state` through `steps` of the program — the
-    /// one step loop, which [`BatchProgram::run`] enters at step 0 and the
-    /// paired driver also enters at the end of a shared prefix.
+    /// Advances every lane of `state` through the steps `layout` covers —
+    /// the one step loop, which [`BatchProgram::run`] enters at step 0 and
+    /// the paired driver also enters at the end of a shared prefix.
     ///
-    /// The steps are taken in blocks (see [`BatchProgram::blocks`]).  Each
-    /// block sweeps all lanes through one branch-free fast pass — the
-    /// block's adds, one compare and one select per lane over contiguous
-    /// arrays — committing every lane the block completes failure-free and
-    /// compacting the rest into a dense worklist of lane indices.  For a
-    /// single-step block the worklist lanes take the slow path directly,
-    /// `Step::run` on a [`SimClock`] over the lane; the lanes a longer block
-    /// misses replay it step by step, each step's own fast-path test first
-    /// and `Step::run` where that test fails.
+    /// The steps are taken in the layout's blocks (see
+    /// [`BatchProgram::blocks`]).  Each block sweeps all lanes through one
+    /// branch-free pass of `kernel` — the block's adds, one compare and one
+    /// select per lane over contiguous arrays — committing every lane the
+    /// block completes failure-free and compacting the rest into a dense
+    /// worklist of lane indices.  For a single-step block the worklist lanes
+    /// take the slow path directly, `Step::run` on a [`SimClock`] over the
+    /// lane; the lanes a longer block misses replay it step by step, each
+    /// step's own fast-path test first and `Step::run` where that test
+    /// fails.
     fn run_steps<S: BatchFailureSource>(
         &self,
+        layout: &BlockLayout,
+        kernel: CommitKernel,
         source: &mut S,
         state: &mut BatchState,
-        steps: Range<usize>,
     ) {
-        let lanes = state.lanes();
-        for block in self.blocks(steps) {
-            let block = &self.steps[block];
-            let (terms, n) = block_terms(block);
-            let (now, next_failure) = (&mut state.now[..lanes], &state.next_failure[..lanes]);
-            if let [step] = *block {
-                fast_pass(now, next_failure, &mut state.interrupted, &terms[..n]);
-                self.slow_path(source, state, step);
-            } else {
-                fast_pass(now, next_failure, &mut state.missed, &terms[..n]);
-                for &step in block {
-                    state.replay_test(step);
+        let (mut step, mut term) = (layout.start, 0);
+        for run in &layout.runs {
+            let terms = &layout.terms[term..term + usize::from(run.terms)];
+            term += terms.len();
+            for _ in 0..run.count {
+                let block = &self.steps[step..step + usize::from(run.steps)];
+                step += block.len();
+                let (now, next_failure) = (&mut state.now, &state.next_failure);
+                if let [step] = *block {
+                    kernel.commit(now, next_failure, terms, &mut state.interrupted);
                     self.slow_path(source, state, step);
+                } else {
+                    kernel.commit(now, next_failure, terms, &mut state.missed);
+                    if state.missed.is_empty() {
+                        continue;
+                    }
+                    for &step in block {
+                        state.replay_test(step);
+                        self.slow_path(source, state, step);
+                    }
                 }
             }
         }
     }
 
-    /// The blocks [`BatchProgram::run_steps`] takes over `steps`, in order:
+    /// The blocks a [`BlockLayout`] of `steps` holds, in order:
     /// from each block's first step, the greedy block of `block_len` under
     /// the plan's full period, cut at the end of `steps` — so no block
     /// crosses the paired driver's fork point.
@@ -411,7 +420,7 @@ impl BatchProgram {
         // Indexing the worklist (instead of holding a borrow on it) keeps
         // `state` free for the per-lane load/store.
         for k in 0..state.interrupted.len() {
-            let lane = state.interrupted[k] as usize;
+            let lane = state.interrupted.as_slice()[k] as usize;
             let mut clock = SimClock::resume(
                 BatchLane {
                     source: &mut *source,
@@ -775,7 +784,15 @@ fn drive_programs(
     // reused across segments.  The fork is exact: each lane's failure
     // sequence is a pure function of its seed and draw count, and the prefix
     // makes the same draws for every program.
+    // The block layouts and the lane kernel are resolved once per call: the
+    // prefix's blocks, then each program's blocks from the fork on.
     let prefix = shared_prefix(programs);
+    let prefix_layout = BlockLayout::new(programs[0], 0..prefix);
+    let layouts: Vec<BlockLayout> = programs
+        .iter()
+        .map(|program| BlockLayout::new(program, prefix..program.len()))
+        .collect();
+    let kernel = CommitKernel::detect();
     let run_segment = |stream: &mut BatchFailureStream<_>,
                        state: &mut BatchState,
                        fork: &mut (BatchFailureStream<_>, BatchState),
@@ -790,17 +807,18 @@ fn drive_programs(
                 stream.reset(seeds);
             }
             state.reset(stream);
-            programs[0].run_steps(stream, state, 0..prefix);
+            programs[0].run_steps(&prefix_layout, kernel, stream, state);
             if programs.len() > 1 {
                 fork.0.clone_from(stream);
                 fork.1.restore(state);
             }
-            for (i, (program, out)) in programs.iter().zip(outs).enumerate() {
+            let runs = programs.iter().zip(&layouts).zip(outs);
+            for (i, ((program, layout), out)) in runs.enumerate() {
                 if i > 0 {
                     stream.clone_from(&fork.0);
                     state.restore(&fork.1);
                 }
-                program.run_steps(stream, state, prefix..program.len());
+                program.run_steps(layout, kernel, stream, state);
                 out.clear();
                 out.extend((0..seeds.len()).map(|lane| program.outcome(state, lane)));
             }
@@ -1375,6 +1393,75 @@ mod tests {
                 assert_eq!(next, range.end, "{range:?}: {blocks:?}");
             }
         }
+    }
+
+    #[test]
+    fn block_layouts_hold_each_block_and_its_terms_in_runs() {
+        let scenario = WeakScalingScenario::figure9();
+        let nodes = 1.4e5;
+        let engine = Engine::new(&scenario.params_at(nodes).unwrap());
+        let profile = ApplicationProfile::uniform(
+            scenario.epochs,
+            scenario.general_duration(nodes),
+            scenario.library_duration(nodes),
+        )
+        .unwrap();
+        for protocol in Protocol::all() {
+            let program = BatchProgram::compile(protocol, &profile, engine.plan());
+            let len = program.len();
+            for range in [0..len, 0..len / 3, len / 3..len, 5..5] {
+                let layout = BlockLayout::new(&program, range.clone());
+                let blocks: Vec<Range<usize>> = program.blocks(range.clone()).collect();
+                let laid: Vec<(usize, &[f64])> = layout
+                    .runs
+                    .iter()
+                    .scan(0, |term, run| {
+                        let terms = &layout.terms[*term..*term + usize::from(run.terms)];
+                        *term += terms.len();
+                        Some(std::iter::repeat_n((usize::from(run.steps), terms), run.count))
+                    })
+                    .flatten()
+                    .collect();
+                assert_eq!(laid.len(), blocks.len(), "{protocol:?} {range:?}");
+                let mut step = layout.start;
+                for (&(steps, got), block) in laid.iter().zip(&blocks) {
+                    assert_eq!(step..step + steps, *block);
+                    let want: Vec<u64> = program.steps[block.clone()]
+                        .iter()
+                        .flat_map(|&s| {
+                            let (t, n) = cost_terms(s);
+                            t.into_iter().take(n)
+                        })
+                        .map(f64::to_bits)
+                        .collect();
+                    assert_eq!(got.iter().map(|t| t.to_bits()).collect::<Vec<_>>(), want);
+                    step = block.end;
+                }
+                assert_eq!(step, range.end);
+                // fig9's programs repeat one epoch, so up to 1000 blocks
+                // fold into a few runs.
+                assert!(layout.runs.len() <= 3, "{protocol:?} {range:?}: {:?}", layout.runs);
+            }
+        }
+    }
+
+    #[test]
+    fn block_runs_compare_terms_by_bit_pattern() {
+        let engine = fig7_engine(FailureSpec::Exponential);
+        let profile = ApplicationProfile::from_params(engine.params());
+        let mut program = BatchProgram::compile(Protocol::PurePeriodicCkpt, &profile, engine.plan());
+        // Whole-period steps are single-step blocks; `-0.0` and `0.0` sums
+        // can differ in sign, so only the two `-0.0` blocks share a run.
+        let work = program.plan.full_period;
+        program.steps = vec![
+            Step::Period { work, ckpt: 0.0 },
+            Step::Period { work, ckpt: -0.0 },
+            Step::Period { work, ckpt: -0.0 },
+        ];
+        let layout = BlockLayout::new(&program, 0..3);
+        let runs: Vec<_> = layout.runs.iter().map(|r| (r.steps, r.terms, r.count)).collect();
+        assert_eq!(runs, [(1, 2, 1), (1, 2, 2)]);
+        assert_eq!(layout.terms.len(), 4);
     }
 
     #[test]
