@@ -32,7 +32,7 @@
 //! validation of the model arm the seeded bisection trusts.
 //! `--compare-fixed N` additionally runs the
 //! seeding grid as a paired fixed-`N` scan and reports both execution
-//! counts — the `BENCH_crossover.json` payload.  `--json` prints the
+//! counts, the refiner's saving over a fixed grid.  `--json` prints the
 //! machine-readable summary line.
 //!
 //! `--batch-lanes` and `--point-threads` pick the lane width and intra-probe

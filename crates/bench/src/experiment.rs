@@ -535,8 +535,8 @@ impl SweepSpec {
         self.execute(true)
     }
 
-    /// Executes the grid sequentially (the baseline the `full_grid_sweep`
-    /// bench compares parallel execution against).
+    /// Executes the grid sequentially (the `--serial` CLI path, and the
+    /// reference the parallel run must match bit for bit).
     pub fn run_serial(&self) -> Result<SweepResults, SweepError> {
         self.execute(false)
     }

@@ -1,4 +1,4 @@
-//! # ft-bench — benchmark harness, sweep subsystem and figure regeneration
+//! # ft-bench — sweep subsystem and figure regeneration
 //!
 //! The [`experiment`] module is the heart of the crate: a declarative
 //! [`SweepSpec`] expands `(α × ρ × µ × N × C × φ)`
@@ -23,9 +23,8 @@
 //! writer in [`output`] (the full flag-reference table lives in the
 //! top-level `README.md`).
 //!
-//! The Criterion benches (`benches/`) measure the performance of the
-//! reproduction itself (whole-grid sweep throughput, simulator throughput,
-//! ABFT factorization overhead, checkpoint capture/restore costs).
+//! The speed of these binaries and of the checkpoint pipeline is measured
+//! by the separate `perfbench/` package, not by this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,9 +37,7 @@ pub use experiment::{
     report_crossover, run_cli, Axis, CrossoverOutcome, CrossoverProbe, CrossoverRefinement,
     CrossoverRefiner, Parameter, SweepResults, SweepSpec,
 };
-pub use output::{
-    csv_line, host_json_fields, host_logical_cores, render_table, OutputFormat, Table,
-};
+pub use output::{csv_line, render_table, OutputFormat, Table};
 
 use ft_composite::params::ModelParams;
 
@@ -67,28 +64,39 @@ impl Args {
         self.raw.iter().any(|a| a == name)
     }
 
-    /// The value following `--name`, parsed, or `default`.
+    /// The value following `--name`, parsed, or `default` when the flag is
+    /// absent.
     pub fn value<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         self.maybe_value(name).unwrap_or(default)
     }
 
-    /// The value following `--name`, parsed, when the flag is present.
+    /// The value following `--name`, parsed, when the flag is present.  A
+    /// present flag whose value does not parse is a usage error: the
+    /// process exits with code 2 and a message naming the flag.
     pub fn maybe_value<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
-        self.raw
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.raw.get(i + 1))
-            .and_then(|v| v.parse().ok())
+        self.text(name).map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                eprintln!("invalid value `{v}` for {name}");
+                std::process::exit(2);
+            })
+        })
     }
 
-    /// The string value following `--name`, or `default`.
+    /// The string value following `--name`, or `default` when the flag is
+    /// absent.
     pub fn string(&self, name: &str, default: &str) -> String {
-        self.raw
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.raw.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+        self.text(name).unwrap_or(default).to_string()
+    }
+
+    /// The raw text following `--name` when the flag is present; a flag
+    /// with nothing after it exits with code 2, like an unparseable value.
+    fn text(&self, name: &str) -> Option<&str> {
+        let i = self.raw.iter().position(|a| a == name)?;
+        let Some(value) = self.raw.get(i + 1) else {
+            eprintln!("{name} needs a value");
+            std::process::exit(2);
+        };
+        Some(value)
     }
 }
 

@@ -26,56 +26,6 @@ impl OutputFormat {
     }
 }
 
-/// Logical cores of the host, recorded in every `BENCH_*.json` payload so
-/// the files are interpretable (single-core containers vs real hosts).
-pub fn host_logical_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The SIMD features of the host CPU that bound the engine's throughput
-/// (`avx2`, `fma`, `avx512f`, in that order), read from `/proc/cpuinfo`;
-/// empty when it is unreadable.
-fn host_cpu_flags() -> Vec<&'static str> {
-    cpu_flags_in(&std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default())
-}
-
-/// The tracked SIMD features listed on the first `flags` line of a
-/// `/proc/cpuinfo` text.
-fn cpu_flags_in(cpuinfo: &str) -> Vec<&'static str> {
-    let listed: Vec<&str> = cpuinfo
-        .lines()
-        .find(|line| line.starts_with("flags"))
-        .and_then(|line| line.split_once(':'))
-        .map_or_else(Vec::new, |(_, flags)| flags.split_whitespace().collect());
-    ["avx2", "fma", "avx512f"]
-        .into_iter()
-        .filter(|flag| listed.contains(flag))
-        .collect()
-}
-
-/// The uniform host block every bench reporter embeds: the logical core
-/// count, the CPU's SIMD flags and, on single-core hosts, an explicit
-/// annotation instead of a silently meaningless parallel figure (grid- and
-/// point-parallel paths collapse to serial there, so any recorded speedup
-/// measures engine substitution only).
-pub fn host_json_fields() -> String {
-    let cores = host_logical_cores();
-    let flags: Vec<String> = host_cpu_flags().into_iter().map(json_string).collect();
-    let fields = format!(
-        "\"host_logical_cores\": {cores}, \"host_cpu_flags\": [{}]",
-        flags.join(", ")
-    );
-    if cores == 1 {
-        format!(
-            "{fields}, \"single_core_annotation\": \
-             \"single logical core: thread-parallel paths collapse to \
-             serial; speedups measure engine substitution only\""
-        )
-    } else {
-        fields
-    }
-}
-
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -303,33 +253,6 @@ mod tests {
         assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
         assert_eq!(json_string("x\\y"), "\"x\\\\y\"");
         assert_eq!(json_string("line\nbreak"), "\"line\\nbreak\"");
-    }
-
-    #[test]
-    fn host_fields_list_the_cpu_flags_as_a_json_array() {
-        let flags: Vec<String> = host_cpu_flags().into_iter().map(json_string).collect();
-        let expected = format!(
-            "\"host_logical_cores\": {}, \"host_cpu_flags\": [{}]",
-            host_logical_cores(),
-            flags.join(", ")
-        );
-        assert!(host_json_fields().starts_with(&expected), "{expected}");
-        // The array body for a fixed cpuinfo text, and for an unreadable one.
-        let fixed: Vec<String> = cpu_flags_in("flags\t: fma avx2\n")
-            .into_iter()
-            .map(json_string)
-            .collect();
-        assert_eq!(fixed.join(", "), "\"avx2\", \"fma\"");
-        assert!(cpu_flags_in("").is_empty());
-    }
-
-    #[test]
-    fn cpu_flags_come_from_the_first_flags_line_in_a_fixed_order() {
-        let cpuinfo = "processor\t: 0\nflags\t\t: fpu avx512f sse2 fma avx2\n\
-                       processor\t: 1\nflags\t\t: fpu\n";
-        assert_eq!(cpu_flags_in(cpuinfo), ["avx2", "fma", "avx512f"]);
-        assert_eq!(cpu_flags_in("flags\t: fpu sse2 avx\n"), Vec::<&str>::new());
-        assert!(cpu_flags_in("").is_empty());
     }
 
     #[test]

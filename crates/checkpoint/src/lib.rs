@@ -58,8 +58,7 @@ pub use frame::{FrameFault, FrameHeader, FrameWriter, PayloadKind};
 pub use incremental::IncrementalCheckpoint;
 pub use partial::{PartialCheckpoint, SplitCheckpoint};
 pub use pipeline::{
-    apply_partial_onto, CheckpointPipeline, CostSummary, GenerationCost, PipelineOp,
-    RestoreOutcome,
+    apply_partial_onto, CheckpointPipeline, GenerationCost, PipelineOp, RestoreOutcome,
 };
 pub use restore::{restore_full, restore_partial, RestoreReport};
 pub use state::{DatasetKind, MemoryRegion, ProcessSet, ProcessState};

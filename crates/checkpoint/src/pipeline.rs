@@ -66,23 +66,6 @@ pub struct GenerationCost {
     pub seconds: f64,
 }
 
-/// Aggregate statistics over the [`GenerationCost`] records of one op class.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostSummary {
-    /// Operation class summarised.
-    pub op: PipelineOp,
-    /// Number of records.
-    pub count: usize,
-    /// Minimum seconds.
-    pub min_seconds: f64,
-    /// Mean seconds.
-    pub mean_seconds: f64,
-    /// Maximum seconds.
-    pub max_seconds: f64,
-    /// Total payload bytes across the records.
-    pub total_raw_bytes: usize,
-}
-
 /// Outcome of a verified restore, including what graceful degradation cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RestoreOutcome {
@@ -470,38 +453,6 @@ impl<C: ChecksumGen + Clone, B: CheckpointBackend> CheckpointPipeline<C, B> {
         }
         Ok(())
     }
-
-    /// Per-operation-class aggregates over [`CheckpointPipeline::costs`].
-    pub fn cost_summary(&self) -> Vec<CostSummary> {
-        let classes = [
-            PipelineOp::WriteFull,
-            PipelineOp::WriteDelta,
-            PipelineOp::WritePartial,
-            PipelineOp::WriteState,
-            PipelineOp::Verify,
-            PipelineOp::Restore,
-        ];
-        classes
-            .iter()
-            .filter_map(|&op| {
-                let records: Vec<&GenerationCost> =
-                    self.costs.iter().filter(|c| c.op == op).collect();
-                if records.is_empty() {
-                    return None;
-                }
-                let count = records.len();
-                let total: f64 = records.iter().map(|c| c.seconds).sum();
-                Some(CostSummary {
-                    op,
-                    count,
-                    min_seconds: records.iter().map(|c| c.seconds).fold(f64::MAX, f64::min),
-                    mean_seconds: total / count as f64,
-                    max_seconds: records.iter().map(|c| c.seconds).fold(0.0, f64::max),
-                    total_raw_bytes: records.iter().map(|c| c.raw_bytes).sum(),
-                })
-            })
-            .collect()
-    }
 }
 
 /// Folds a partial (one-dataset) checkpoint onto a complete base image: the
@@ -774,15 +725,11 @@ mod tests {
         let generation = p.commit_full(&image).unwrap();
         p.verify(generation).unwrap();
         p.restore_latest().unwrap();
-        let summary = p.cost_summary();
-        let ops: Vec<PipelineOp> = summary.iter().map(|s| s.op).collect();
-        assert!(ops.contains(&PipelineOp::WriteFull));
-        assert!(ops.contains(&PipelineOp::Verify));
-        assert!(ops.contains(&PipelineOp::Restore));
-        for s in &summary {
-            assert_eq!(s.count, 1);
-            assert!(s.min_seconds <= s.mean_seconds && s.mean_seconds <= s.max_seconds);
-        }
+        let ops: Vec<PipelineOp> = p.costs().iter().map(|c| c.op).collect();
+        assert_eq!(
+            ops,
+            [PipelineOp::WriteFull, PipelineOp::Verify, PipelineOp::Restore]
+        );
         // Framing adds overhead: stored > raw for the write.
         let write = p.costs().iter().find(|c| c.op == PipelineOp::WriteFull).unwrap();
         assert!(write.stored_bytes > write.raw_bytes);

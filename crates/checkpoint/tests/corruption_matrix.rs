@@ -177,6 +177,43 @@ fn transient_faults_retry_through_on_both_backends() {
     }
 }
 
+/// The no-fault cell: a full commit every 4th generation with deltas in
+/// between, every generation verified, and a restore that takes the newest
+/// generation and matches the live set.
+fn check_clean_life_cycle<B: CheckpointBackend>(backend: B) {
+    let mut pipeline = CheckpointPipeline::new(Crc32::new(), backend);
+    let mut set = base_set();
+    let mut base_image = CoordinatedCheckpoint::capture(&set, 0.0);
+    let mut base_generation = pipeline.commit_full(&base_image).unwrap();
+    pipeline.verify(base_generation).unwrap();
+    for g in 1..8u8 {
+        evolve(&mut set, g);
+        let time = f64::from(g);
+        let generation = if g % 4 == 0 {
+            base_image = CoordinatedCheckpoint::capture(&set, time);
+            base_generation = pipeline.commit_full(&base_image).unwrap();
+            base_generation
+        } else {
+            let delta = IncrementalCheckpoint::capture_since(&set, &base_image, time);
+            pipeline.commit_delta(&delta, base_generation).unwrap()
+        };
+        pipeline.verify(generation).unwrap();
+    }
+    let (restored, outcome) = pipeline.restore_latest().unwrap();
+    assert_eq!(outcome.fallback_depth, 0);
+    assert_eq!(
+        restored.materialize().unwrap().fingerprint(),
+        set.fingerprint(),
+        "restored image must match the live state"
+    );
+}
+
+#[test]
+fn clean_life_cycle_restores_the_live_state_on_both_backends() {
+    check_clean_life_cycle(MemoryBackend::new());
+    check_clean_life_cycle(ChunkedFileBackend::new(1024).unwrap());
+}
+
 /// Damaging *every* generation leaves no verifiable candidate: the restore
 /// must report the full rejection list, not fabricate a state.
 #[test]

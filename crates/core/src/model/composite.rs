@@ -6,15 +6,14 @@
 //! * the LIBRARY phase runs under ABFT: the work is inflated by `φ`, a forced
 //!   exit checkpoint of cost `C_L` is added, and a failure costs
 //!   `D + R_L̄ + Recons_ABFT` instead of a rollback — Equations (2), (8);
-//! * the safeguard of Section III-B falls back to checkpoint-only protection
-//!   when the projected ABFT-protected call is shorter than the optimal
-//!   checkpoint period.
+//! * the safeguard of Section III-B, which keeps ABFT off when the projected
+//!   ABFT-protected call is shorter than the optimal checkpoint period, lives
+//!   in [`crate::safeguard`].
 
 use crate::error::{ModelError, Result};
 use crate::model::analytic::{FirstOrderExponential, WasteModel};
 use crate::model::phase::{checkpointed_phase_with, PhaseParams};
 use crate::model::waste::{Prediction, Waste};
-use crate::model::{bi, pure};
 use crate::params::ModelParams;
 
 /// Expected execution time of the LIBRARY phase under ABFT protection
@@ -97,62 +96,10 @@ pub fn waste(params: &ModelParams) -> Result<Waste> {
     Ok(prediction(params)?.waste)
 }
 
-/// Which protection the safeguard selected for the LIBRARY phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SafeguardChoice {
-    /// The LIBRARY phase is long enough: ABFT is used.
-    Abft,
-    /// The projected ABFT-protected call is shorter than the optimal
-    /// checkpoint period: fall back to checkpoint-only protection
-    /// (BiPeriodicCkpt when incremental checkpoints are available,
-    /// PurePeriodicCkpt otherwise).
-    CheckpointOnly,
-}
-
-/// Prediction with the Section III-B safeguard applied.
-///
-/// When the projected duration of the ABFT-protected library call
-/// (`φ·T_L + C_L`) is smaller than the optimal checkpoint period, ABFT is not
-/// activated and the epoch is protected by periodic checkpointing only
-/// (with incremental checkpoints when `incremental` is true).
-pub fn prediction_with_safeguard(
-    params: &ModelParams,
-    incremental: bool,
-) -> Result<(Prediction, SafeguardChoice)> {
-    prediction_with_safeguard_model(&FirstOrderExponential, params, incremental)
-}
-
-/// [`prediction_with_safeguard`] under an arbitrary [`WasteModel`]: the
-/// safeguard threshold is that model's optimal period (a Weibull-corrected
-/// model checkpoints at its own period, so the activation rule compares
-/// against it).
-pub fn prediction_with_safeguard_model<M: WasteModel + ?Sized>(
-    model: &M,
-    params: &ModelParams,
-    incremental: bool,
-) -> Result<(Prediction, SafeguardChoice)> {
-    let period = model.optimal_period(
-        params.checkpoint_cost,
-        params.platform_mtbf,
-        params.downtime,
-        params.recovery_cost,
-    )?;
-    let projected = params.phi * params.library_duration() + params.checkpoint_cost_library();
-    if projected < period {
-        let fallback = if incremental {
-            bi::prediction_with(model, params)?
-        } else {
-            pure::prediction_with(model, params)?
-        };
-        Ok((fallback, SafeguardChoice::CheckpointOnly))
-    } else {
-        Ok((prediction_with(model, params)?, SafeguardChoice::Abft))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{bi, pure};
     use ft_platform::units::{minutes, weeks};
 
     #[test]
@@ -229,43 +176,5 @@ mod tests {
         // Per-failure cost D + R_L̄ + Recons ≈ 3 min, one failure per hour:
         // ≈ 5% of the time is lost, against > 30% for a rollback protocol.
         assert!((t - fault_free) / fault_free < 0.06);
-    }
-
-    #[test]
-    fn safeguard_falls_back_for_short_library_calls() {
-        // A library call of 2 minutes (projected ~2.06 min + C_L) is shorter
-        // than the ~49-minute optimal period: ABFT must not be activated.
-        let params = ModelParams::builder()
-            .epoch_duration(minutes(10.0))
-            .alpha(0.2)
-            .checkpoint_cost(minutes(10.0))
-            .recovery_cost(minutes(10.0))
-            .downtime(minutes(1.0))
-            .rho(0.8)
-            .phi(1.03)
-            .abft_reconstruction(2.0)
-            .platform_mtbf(minutes(120.0))
-            .build()
-            .unwrap();
-        let (_, choice) = prediction_with_safeguard(&params, true).unwrap();
-        assert_eq!(choice, SafeguardChoice::CheckpointOnly);
-
-        // The paper's headline scenario keeps ABFT on.
-        let params = ModelParams::paper_figure7(0.8, minutes(120.0)).unwrap();
-        let (_, choice) = prediction_with_safeguard(&params, true).unwrap();
-        assert_eq!(choice, SafeguardChoice::Abft);
-    }
-
-    #[test]
-    fn safeguarded_prediction_never_exceeds_unsafeguarded_alternatives() {
-        for alpha in [0.05, 0.3, 0.7, 0.95] {
-            for mtbf in [90.0, 180.0] {
-                let params = ModelParams::paper_figure7(alpha, minutes(mtbf)).unwrap();
-                let (guarded, _) = prediction_with_safeguard(&params, true).unwrap();
-                let composite = waste(&params).unwrap().value();
-                let bi = bi::waste(&params).unwrap().value();
-                assert!(guarded.waste.value() <= composite.max(bi) + 1e-9);
-            }
-        }
     }
 }

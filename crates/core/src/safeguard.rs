@@ -3,56 +3,15 @@
 //! Forcing partial checkpoints at library entry and exit only pays off when
 //! the library call is long enough; for a very short call the composite
 //! protocol would introduce *more* checkpoints than plain periodic
-//! checkpointing.  The paper's safeguard computes the projected duration of
-//! the ABFT-protected call from the call parameters (problem size, resource
-//! count, algorithm complexity) and keeps ABFT off when that projection is
-//! below the optimal checkpoint period.
+//! checkpointing.  The paper's safeguard projects the duration of the
+//! ABFT-protected call (`φ·T_L + C_L`) and keeps ABFT off when that
+//! projection is below the optimal checkpoint period.
 
-use crate::error::{ensure_non_negative, ensure_positive, Result};
+use crate::error::Result;
 use crate::model;
 use crate::model::waste::Waste;
 use crate::params::ModelParams;
 use crate::young_daly::paper_optimal_period;
-
-/// Projection of a library call's duration from its algorithmic complexity.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProjectedCall {
-    /// Number of floating-point operations of the call (e.g. `2n³/3` for LU).
-    pub flops: f64,
-    /// Aggregate sustained flop rate of the platform (flop/s).
-    pub flop_rate: f64,
-    /// ABFT overhead factor `φ`.
-    pub phi: f64,
-    /// Cost of the forced exit checkpoint (`C_L`), in seconds.
-    pub exit_checkpoint: f64,
-}
-
-impl ProjectedCall {
-    /// Creates a projection, validating the inputs.
-    pub fn new(flops: f64, flop_rate: f64, phi: f64, exit_checkpoint: f64) -> Result<Self> {
-        ensure_positive("flops", flops)?;
-        ensure_positive("flop_rate", flop_rate)?;
-        ensure_positive("phi", phi)?;
-        ensure_non_negative("exit_checkpoint", exit_checkpoint)?;
-        Ok(Self {
-            flops,
-            flop_rate,
-            phi,
-            exit_checkpoint,
-        })
-    }
-
-    /// Projection for a dense LU factorization of order `n` (`2n³/3` flops).
-    pub fn lu(n: f64, flop_rate: f64, phi: f64, exit_checkpoint: f64) -> Result<Self> {
-        Self::new(2.0 * n * n * n / 3.0, flop_rate, phi, exit_checkpoint)
-    }
-
-    /// Projected wall-clock duration of the ABFT-protected call, including
-    /// the forced exit checkpoint.
-    pub fn duration(&self) -> f64 {
-        self.phi * self.flops / self.flop_rate + self.exit_checkpoint
-    }
-}
 
 /// The safeguard rule itself: activate ABFT only when the projected
 /// ABFT-protected duration is at least the optimal checkpoint period.
@@ -117,15 +76,6 @@ pub fn safeguarded_composite_waste(params: &ModelParams) -> Result<Waste> {
 mod tests {
     use super::*;
     use ft_platform::units::{hours, minutes, weeks};
-
-    #[test]
-    fn projection_from_complexity() {
-        // 10^4-order LU at 1 Tflop/s: 2/3 × 10^12 flops ≈ 0.67 s of work.
-        let call = ProjectedCall::lu(1.0e4, 1.0e12, 1.03, 5.0).unwrap();
-        let expected = 1.03 * (2.0 / 3.0 * 1.0e12) / 1.0e12 + 5.0;
-        assert!((call.duration() - expected).abs() < 1e-9);
-        assert!(ProjectedCall::new(0.0, 1.0, 1.0, 0.0).is_err());
-    }
 
     #[test]
     fn rule_compares_against_period() {

@@ -121,8 +121,8 @@ impl WeakScalingScenario {
     /// The Figure-8 scenario with the *literal* reference values stated in
     /// the paper's text (1-minute epoch, 1-minute checkpoint, 1-day MTBF at
     /// 10,000 nodes).  At 10⁵–10⁶ nodes the checkpoint-only protocols
-    /// saturate (waste 1): the checkpoint cost overtakes the MTBF.  Exposed
-    /// for the calibration ablation bench.
+    /// saturate (waste 1): the checkpoint cost overtakes the MTBF.  This is
+    /// the scenario `fig8 --literal` plots.
     pub fn figure8_literal() -> Self {
         Self {
             epoch_at_reference: minutes(1.0),

@@ -61,7 +61,9 @@ pub fn paper_optimal_period(
 
 /// First-order waste of periodic checkpointing at period `P`:
 /// `1 − (1 − C/P)(1 − (D + R + P/2)/µ)` — the complement of the `X` factor of
-/// Equation (10).  Exposed for the period-sensitivity ablation bench.
+/// Equation (10).  The exponential instance of
+/// [`WasteModel::waste_at_period`](crate::model::analytic::WasteModel::waste_at_period)
+/// reproduces it bit for bit.
 pub fn waste_at_period(
     period: f64,
     checkpoint_cost: f64,

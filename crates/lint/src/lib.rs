@@ -5,7 +5,7 @@
 //! invariance — rests on source-level invariants that used to be enforced
 //! only dynamically, by whichever test happened to exercise the offending
 //! path. `ft-lint` turns them into a compile gate: a dependency-free
-//! scanner ([`lexer`]) feeds seven lexical rules ([`rules`]), suppressions
+//! scanner ([`lexer`]) feeds six lexical rules ([`rules`]), suppressions
 //! live in a justification-carrying allowlist ([`allowlist`]), and the
 //! whole pass runs as `cargo run -p ft-lint` in CI and as the root
 //! `tests/tidy.rs` integration test.
@@ -109,23 +109,6 @@ pub fn lint_workspace(root: &Path, allow_path: Option<&Path>) -> io::Result<Lint
         if let Some(lib) = files.iter().find(|f| f.rel == lib_rel) {
             raw_findings.extend(rules::check_crate_forbids_unsafe(&lib_rel, lib, &crate_files));
         }
-    }
-
-    // Bench payload schema: BENCH_*.json at the workspace root.
-    let mut bench_paths: Vec<PathBuf> = fs::read_dir(root)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    bench_paths.sort();
-    for path in bench_paths {
-        let rel = rel_display(root, &path);
-        let content = fs::read_to_string(&path)?;
-        raw_findings.extend(rules::check_bench_json(&rel, &content));
     }
 
     // Apply the allowlist: a finding is suppressed when an entry matches

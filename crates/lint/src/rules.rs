@@ -1,4 +1,4 @@
-//! The rule registry: seven determinism & safety rules, each protecting a
+//! The rule registry: six determinism & safety rules, each protecting a
 //! concrete invariant of this reproduction (see `docs/LINTS.md` for the
 //! rationale behind every rule and the allowlist process).
 //!
@@ -24,8 +24,6 @@ pub const PANIC_FREE: &str = "panic-free-library";
 /// `#![forbid(unsafe_code)]` (or `#![deny(unsafe_code)]` where a crate uses
 /// `unsafe`).
 pub const UNSAFE_AUDIT: &str = "unsafe-audit";
-/// `BENCH_*.json` host-metadata schema.
-pub const BENCH_SCHEMA: &str = "bench-schema";
 /// Internal: allowlist entry that suppressed nothing.
 pub const STALE_ALLOW: &str = "stale-allow";
 /// Internal: malformed or unjustified allowlist entry.
@@ -40,7 +38,6 @@ pub const RULES: &[(&str, &str)] = &[
     (FLOAT_ACCUM, "parallel float reductions must flow through OutcomeAccumulator (Welford) to keep accumulation order fixed"),
     (PANIC_FREE, "unwrap/expect/panic!/unreachable! in non-test library code needs an allowlist justification"),
     (UNSAFE_AUDIT, "every unsafe block needs a // SAFETY: comment; unsafe-free crates must #![forbid(unsafe_code)], the rest #![deny(unsafe_code)]"),
-    (BENCH_SCHEMA, "BENCH_*.json must record host_logical_cores (+ single_core_annotation when it is 1)"),
 ];
 
 /// Whether `name` is an allowlistable rule.
@@ -405,54 +402,6 @@ pub fn check_crate_forbids_unsafe(
     }
 }
 
-/// Rule 7 — bench payload schema. A `BENCH_*.json` without the host's
-/// logical core count is uninterpretable (is 1.0x speedup an engine
-/// failure or a single-core container?); on single-core hosts the
-/// annotation makes the limitation explicit instead of implied.
-pub fn check_bench_json(rel: &str, content: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let key = "\"host_logical_cores\"";
-    let Some(pos) = content.find(key) else {
-        findings.push(Finding::at(
-            BENCH_SCHEMA,
-            rel,
-            1,
-            "bench payload lacks \"host_logical_cores\" — record it via \
-             ft_bench::output::host_json_fields() (docs/LINTS.md#bench-schema)"
-                .to_string(),
-        ));
-        return findings;
-    };
-    let line = content[..pos].matches('\n').count() + 1;
-    let after = &content[pos + key.len()..];
-    let value: String = after
-        .chars()
-        .skip_while(|c| *c == ':' || c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    if value.is_empty() {
-        findings.push(Finding::at(
-            BENCH_SCHEMA,
-            rel,
-            line,
-            "\"host_logical_cores\" has no integer value".to_string(),
-        ));
-        return findings;
-    }
-    if value == "1" && !content.contains("\"single_core_annotation\"") {
-        findings.push(Finding::at(
-            BENCH_SCHEMA,
-            rel,
-            line,
-            "single-core measurement without \"single_core_annotation\" — annotate \
-             that thread-parallel paths collapsed to serial \
-             (docs/LINTS.md#bench-schema)"
-                .to_string(),
-        ));
-    }
-    findings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,23 +421,6 @@ mod tests {
             classify("crates/checkpoint/src/frame.rs").1.as_deref(),
             Some("checkpoint")
         );
-    }
-
-    #[test]
-    fn bench_json_schema() {
-        assert!(check_bench_json("BENCH_x.json", "{}").iter().any(|f| f.rule == BENCH_SCHEMA));
-        assert!(check_bench_json(
-            "BENCH_x.json",
-            "{\"host_logical_cores\": 1}"
-        )
-        .iter()
-        .any(|f| f.message.contains("single_core_annotation")));
-        assert!(check_bench_json(
-            "BENCH_x.json",
-            "{\"host_logical_cores\": 1, \"single_core_annotation\": \"serial\"}"
-        )
-        .is_empty());
-        assert!(check_bench_json("BENCH_x.json", "{\"host_logical_cores\": 8}").is_empty());
     }
 
     #[test]

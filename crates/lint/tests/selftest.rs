@@ -7,8 +7,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use ft_lint::rules::{
-    self, check_file, SourceFile, BAD_ALLOW, BENCH_SCHEMA, FLOAT_ACCUM, PANIC_FREE, STALE_ALLOW,
-    UNORDERED_ITER, UNSAFE_AUDIT, UNSEEDED_RANDOM, WALL_CLOCK,
+    check_file, SourceFile, BAD_ALLOW, FLOAT_ACCUM, PANIC_FREE, STALE_ALLOW, UNORDERED_ITER,
+    UNSAFE_AUDIT, UNSEEDED_RANDOM, WALL_CLOCK,
 };
 
 /// Scans a fixture under a result-affecting library path so every
@@ -91,24 +91,6 @@ fn unsafe_audit_fires_and_stays_quiet() {
     assert_eq!(rules_fired(clean), Vec::<&str>::new());
 }
 
-#[test]
-fn bench_schema_fires_and_stays_quiet() {
-    let missing = rules::check_bench_json("BENCH_x.json", "{\"speedup\": 2.0}");
-    assert!(missing.iter().any(|f| f.rule == BENCH_SCHEMA));
-    let unannotated =
-        rules::check_bench_json("BENCH_x.json", "{\"host_logical_cores\": 1}");
-    assert!(unannotated
-        .iter()
-        .any(|f| f.rule == BENCH_SCHEMA && f.message.contains("single_core_annotation")));
-    let annotated = rules::check_bench_json(
-        "BENCH_x.json",
-        "{\"host_logical_cores\": 1, \"single_core_annotation\": \"serial fallback\"}",
-    );
-    assert!(annotated.is_empty());
-    let multicore = rules::check_bench_json("BENCH_x.json", "{\"host_logical_cores\": 64}");
-    assert!(multicore.is_empty());
-}
-
 // ------------------------------------------------------------------ lexer edges
 
 #[test]
@@ -158,7 +140,6 @@ fn violating_tree_trips_every_rule() {
         FLOAT_ACCUM,
         PANIC_FREE,
         UNSAFE_AUDIT,
-        BENCH_SCHEMA,
         STALE_ALLOW,
         BAD_ALLOW,
     ] {

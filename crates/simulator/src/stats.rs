@@ -1,7 +1,7 @@
 //! Streaming statistics (Welford) and confidence intervals.
 //!
 //! [`Welford`] is the **single** mean/variance implementation of the
-//! workspace: replication, the sweep subsystem and the benches all
+//! workspace: replication and the sweep subsystem both
 //! accumulate through it (directly or via [`OutcomeAccumulator`]) instead of
 //! rolling their own sums.
 
@@ -89,8 +89,8 @@ impl Welford {
 /// accumulator per tracked quantity (waste, final time, failure count).
 ///
 /// This is the only outcome aggregation in the workspace — the parallel
-/// replication fold, the sequential per-point accumulation of the sweep
-/// subsystem and the benches all push into it.
+/// replication fold and the sequential per-point accumulation of the sweep
+/// subsystem both push into it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OutcomeAccumulator {
     /// Waste statistics.

@@ -3,9 +3,9 @@
 //!
 //! This is the local mirror of the CI `tidy` step (`cargo run -p ft-lint`):
 //! any wall-clock source, unordered iteration, unseeded randomness,
-//! parallel float reduction, unjustified panic, unaudited `unsafe` or
-//! bench-schema regression fails `cargo test -q` with the full diagnostic
-//! listing. See `docs/LINTS.md` for the rules and the allowlist process.
+//! parallel float reduction, unjustified panic or unaudited `unsafe`
+//! fails `cargo test -q` with the full diagnostic listing. See
+//! `docs/LINTS.md` for the rules and the allowlist process.
 
 use std::path::Path;
 
