@@ -22,9 +22,15 @@ use ft_sim::Protocol;
 
 fn main() {
     let args = Args::capture();
-    let protocols = match Protocol::parse(&args.string("--protocol", "all")) {
-        Some(p) => vec![p],
-        None => Protocol::all().to_vec(),
+    let protocols = match args.string("--protocol", "all").as_str() {
+        "all" => Protocol::all().to_vec(),
+        name => match Protocol::parse(name) {
+            Some(p) => vec![p],
+            None => {
+                eprintln!("unknown value `{name}` for --protocol; use pure|bi|abft|all");
+                std::process::exit(2);
+            }
+        },
     };
     let spec = SweepSpec::new(
         "Figure 7 — T0 = 1 week, C = R = 10 min, D = 1 min, rho = 0.8, phi = 1.03, Recons = 2 s",
@@ -34,13 +40,13 @@ fn main() {
         Parameter::Mtbf,
         minutes(60.0),
         minutes(240.0),
-        args.value("--mtbf-points", 7),
+        args.points("--mtbf-points", 7),
     ))
     .axis(Axis::linspace(
         Parameter::Alpha,
         0.0,
         1.0,
-        args.value("--alpha-points", 6),
+        args.points("--alpha-points", 6),
     ))
     .protocols(protocols)
     .replications(200);

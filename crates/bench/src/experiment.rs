@@ -147,13 +147,16 @@ impl Axis {
         Self { parameter, values }
     }
 
-    /// A linearly spaced axis with `steps ≥ 2` points from `from` to `to`
-    /// inclusive.
+    /// A linearly spaced axis with `steps` points from `from` to `to`
+    /// inclusive; one step is the single point `from`, and zero steps an
+    /// empty axis.
     pub fn linspace(parameter: Parameter, from: f64, to: f64, steps: usize) -> Self {
-        let steps = steps.max(2);
-        let values = (0..steps)
-            .map(|i| from + (to - from) * i as f64 / (steps - 1) as f64)
-            .collect();
+        let values = match steps {
+            0 | 1 => vec![from; steps],
+            _ => (0..steps)
+                .map(|i| from + (to - from) * i as f64 / (steps - 1) as f64)
+                .collect(),
+        };
         Self { parameter, values }
     }
 
@@ -2029,6 +2032,15 @@ mod tests {
         let empty = SweepSpec::new("t", figure7_base())
             .axis(Axis::values(Parameter::Alpha, vec![]));
         assert!(empty.expand().is_err());
+    }
+
+    #[test]
+    fn linspace_takes_exactly_the_requested_points() {
+        let axis = |steps| Axis::linspace(Parameter::Alpha, 0.25, 1.0, steps).values;
+        assert_eq!(axis(1), [0.25]);
+        assert_eq!(axis(2), [0.25, 1.0]);
+        assert_eq!(axis(4), [0.25, 0.5, 0.75, 1.0]);
+        assert!(axis(0).is_empty());
     }
 
     #[test]

@@ -82,6 +82,18 @@ impl Args {
         })
     }
 
+    /// The point count following `--name`, or `default` when the flag is
+    /// absent.  Zero points is a usage error: the process exits with code 2
+    /// and a message naming the flag.
+    pub fn points(&self, name: &str, default: usize) -> usize {
+        let points = self.value(name, default);
+        if points == 0 {
+            eprintln!("{name} needs at least one point");
+            std::process::exit(2);
+        }
+        points
+    }
+
     /// The string value following `--name`, or `default` when the flag is
     /// absent.
     pub fn string(&self, name: &str, default: &str) -> String {

@@ -14,7 +14,9 @@
 //!   [`crate::trace::TraceBuffer::reset_antithetic`];
 //! * [`BatchTraceBuffer`] / [`BatchTraceCursor`] — batch replay over one
 //!   recorded [`crate::trace::TraceBuffer`] per lane (common random numbers
-//!   across protocol executors, lane by lane).
+//!   across protocol executors, lane by lane);
+//! * [`ForkRecord`] / [`ForkedStream`] — several programs reading one
+//!   [`BatchFailureStream`] from a fork, each failure drawn once.
 //!
 //! The bit-exactness contract of the batch engine rests on a simple
 //! observation: the per-lane sequence of failure times is a pure function of
@@ -92,27 +94,33 @@ pub struct BatchFailureStream<M: FailureModel> {
     antithetic: bool,
 }
 
-impl<M: FailureModel + Clone> Clone for BatchFailureStream<M> {
-    fn clone(&self) -> Self {
-        Self {
-            model: self.model.clone(),
-            rngs: self.rngs.clone(),
-            now: self.now.clone(),
-            states: self.states.clone(),
-            antithetic: self.antithetic,
-        }
-    }
+/// One lane of a [`BatchFailureStream`] lifted out of it: its generator,
+/// the time of its last failure and its [`SourceState`].  Drawing from it
+/// continues the lane's sequence exactly where it was taken.
+#[derive(Debug, Clone, Copy)]
+struct LaneStream {
+    rng: Xoshiro256,
+    now: f64,
+    state: SourceState,
+}
 
-    /// Copies every lane's generator, time and [`SourceState`] into this
-    /// stream's existing allocations: a fork of the stream mid-sequence,
-    /// restorable without allocating.
-    fn clone_from(&mut self, source: &Self) {
-        self.model.clone_from(&source.model);
-        self.rngs.clone_from(&source.rngs);
-        self.now.clone_from(&source.now);
-        self.states.clone_from(&source.states);
-        self.antithetic = source.antithetic;
-    }
+/// The absolute time of a lane's next failure, advancing its generator,
+/// its time and its state: the one draw every stream lane makes, through
+/// the model's statically dispatched hook.
+#[inline]
+fn draw<M: FailureModel>(
+    model: &M,
+    antithetic: bool,
+    rng: &mut Xoshiro256,
+    now: &mut f64,
+    state: &mut SourceState,
+) -> f64 {
+    *now = if antithetic {
+        model.next_failure_time_static(*now, state, &mut AntitheticRng(rng))
+    } else {
+        model.next_failure_time_static(*now, state, rng)
+    };
+    *now
 }
 
 impl<M: FailureModel> BatchFailureStream<M> {
@@ -168,23 +176,21 @@ impl<M: FailureModel> BatchFailureSource for BatchFailureStream<M> {
         self.rngs.len()
     }
 
-    #[inline]
+    /// Out of line, like [`ForkedStream`]'s: the model's sampling body is
+    /// inlined here once rather than at every retry-loop call site.
+    #[inline(never)]
     fn next_failure(&mut self, lane: usize) -> f64 {
         // Route through the stateful hook (bit-identical to the historical
         // `now += next_interarrival` for i.i.d. models, which never touch
         // their lane's `SourceState`); per-lane state keeps the lanes fully
         // independent, exactly like the per-lane RNGs.
-        self.now[lane] = if self.antithetic {
-            self.model.next_failure_time(
-                self.now[lane],
-                &mut self.states[lane],
-                &mut AntitheticRng(&mut self.rngs[lane]),
-            )
-        } else {
-            self.model
-                .next_failure_time(self.now[lane], &mut self.states[lane], &mut self.rngs[lane])
-        };
-        self.now[lane]
+        draw(
+            &self.model,
+            self.antithetic,
+            &mut self.rngs[lane],
+            &mut self.now[lane],
+            &mut self.states[lane],
+        )
     }
 
     #[inline]
@@ -220,6 +226,152 @@ impl<M: FailureModel> BatchFailureSource for BatchFailureStream<M> {
             *now += *t;
             *t = *now;
         }
+    }
+}
+
+/// Post-fork draws per lane a [`ForkRecord`] holds.
+pub const FORK_RECORD: usize = 64;
+
+/// Each lane's first [`FORK_RECORD`] failure times after a fork of a
+/// [`BatchFailureStream`], so that several programs run from the same fork
+/// draw every failure once.
+///
+/// [`ForkRecord::start`] marks the fork; each program then reads the lanes
+/// through [`BatchFailureStream::from_fork`], which starts every lane at the
+/// fork again.  Per lane, the record keeps the *frontier*: how many draws
+/// past the fork the live stream has made.  A program's `k`-th draw on a
+/// lane is
+///
+/// * the recorded time, for `k` below the frontier and below
+///   [`FORK_RECORD`];
+/// * a live draw from the stream, for `k` at the frontier, which advances
+///   the frontier and, below [`FORK_RECORD`], is recorded;
+/// * otherwise — past the record and behind the frontier — a draw from the
+///   program's own copy of the lane's *spill*, the stream lane as it stood
+///   when the record filled.
+///
+/// All three yield the lane's `k`-th post-fork failure bit for bit, since a
+/// lane's sequence is a pure function of its seed, its antithetic flag and
+/// its draw count.  The first program draws live throughout; later
+/// programs replay the record and draw live only where they outrun every
+/// program before them.  The spill copies stand in for a clone of the
+/// whole stream at the fork, and only lanes that draw past the record
+/// touch them.
+#[derive(Debug, Clone, Default)]
+pub struct ForkRecord {
+    /// Lane `l`'s `k`-th post-fork failure at `l * FORK_RECORD + k`.
+    times: Vec<f64>,
+    /// Post-fork draws the live stream made per lane.
+    frontier: Vec<u32>,
+    /// Post-fork draws the running program made per lane.
+    cursor: Vec<u32>,
+    /// Each lane's stream as it stood when its record filled.
+    spill: Vec<LaneStream>,
+    /// The running program's copy of a lane's spill, advanced by the draws
+    /// it made past the record and behind the frontier.
+    behind: Vec<LaneStream>,
+}
+
+impl ForkRecord {
+    /// An empty record.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Marks the fork of `stream`: no lane has drawn past it yet.  Keeps
+    /// the allocations of earlier forks.
+    pub fn start<M: FailureModel>(&mut self, stream: &BatchFailureStream<M>) {
+        let lanes = stream.lanes();
+        self.frontier.clear();
+        self.frontier.resize(lanes, 0);
+        if self.times.len() < lanes * FORK_RECORD {
+            self.times.resize(lanes * FORK_RECORD, 0.0);
+            let blank = LaneStream {
+                rng: Xoshiro256::seed_from_u64(0),
+                now: 0.0,
+                state: SourceState::default(),
+            };
+            self.spill.resize(lanes, blank);
+            self.behind.resize(lanes, blank);
+        }
+    }
+}
+
+impl<M: FailureModel> BatchFailureStream<M> {
+    /// Every lane's sequence from the fork `record` marked (see
+    /// [`ForkRecord::start`]), for one program: each call starts all lanes
+    /// at the fork again.  Between the calls, draw from this stream only
+    /// through the sources they return.
+    pub fn from_fork<'a>(&'a mut self, record: &'a mut ForkRecord) -> ForkedStream<'a, M> {
+        record.cursor.clear();
+        record.cursor.resize(self.lanes(), 0);
+        ForkedStream {
+            stream: self,
+            record,
+        }
+    }
+}
+
+/// One program's view of a [`BatchFailureStream`] from a fork: see
+/// [`ForkRecord`].
+#[derive(Debug)]
+pub struct ForkedStream<'a, M: FailureModel> {
+    stream: &'a mut BatchFailureStream<M>,
+    record: &'a mut ForkRecord,
+}
+
+impl<M: FailureModel> BatchFailureSource for ForkedStream<'_, M> {
+    #[inline]
+    fn lanes(&self) -> usize {
+        self.record.cursor.len()
+    }
+
+    /// Out of line: the engine's retry loops call this from many sites,
+    /// and the model's sampling body, inlined here once, would swell every
+    /// one of them.
+    #[inline(never)]
+    fn next_failure(&mut self, lane: usize) -> f64 {
+        let (stream, record) = (&mut *self.stream, &mut *self.record);
+        let k = record.cursor[lane] as usize;
+        record.cursor[lane] += 1;
+        let frontier = record.frontier[lane] as usize;
+        if k < frontier.min(FORK_RECORD) {
+            return record.times[lane * FORK_RECORD + k];
+        }
+        // Not recorded: a live draw at the frontier, recorded while the
+        // record has room, or else a draw from this program's copy of the
+        // lane's spill.
+        let live = k == frontier;
+        debug_assert!(live || (FORK_RECORD..frontier).contains(&k));
+        let (rng, now, state) = if live {
+            record.frontier[lane] += 1;
+            (&mut stream.rngs[lane], &mut stream.now[lane], &mut stream.states[lane])
+        } else {
+            // A program first gets here at draw `FORK_RECORD`, where its
+            // copy of the spill starts.
+            if k == FORK_RECORD {
+                record.behind[lane] = record.spill[lane];
+            }
+            let copy = &mut record.behind[lane];
+            (&mut copy.rng, &mut copy.now, &mut copy.state)
+        };
+        let t = draw(&stream.model, stream.antithetic, rng, now, state);
+        if live && k < FORK_RECORD {
+            record.times[lane * FORK_RECORD + k] = t;
+            if k + 1 == FORK_RECORD {
+                record.spill[lane] = LaneStream {
+                    rng: stream.rngs[lane],
+                    now: stream.now[lane],
+                    state: stream.states[lane],
+                };
+            }
+        }
+        t
+    }
+
+    #[inline]
+    fn mean_interarrival(&self) -> f64 {
+        self.stream.mean_interarrival()
     }
 }
 
@@ -710,6 +862,69 @@ mod tests {
         assert_eq!(batch.lanes(), 2);
         assert_eq!(batch.next_failure(0).to_bits(), first[0]);
         assert!((batch.mean_interarrival() - 100.0).abs() < 1e-12);
+    }
+
+    /// Programs reading a stream from a fork each see every lane's own
+    /// sequence from the fork on, bit for bit, whether a draw comes from
+    /// the record, the live stream or a spill copy: lanes stop inside the
+    /// record, at its end and far past it, and later programs both fall
+    /// behind and outrun the ones before them.
+    #[test]
+    fn forked_streams_replay_every_lanes_sequence_from_the_fork() {
+        let model = crate::scenario::CascadeFailures::with_defaults(units::hours(1.0)).unwrap();
+        let model = crate::failure::AnyFailureModel::Cascade(model);
+        let seeds = lane_seeds(6);
+        let r = FORK_RECORD;
+        // Draws before the fork, then each program's draws after it, per lane.
+        let before = [0, 3, 1, 0, 7, 2];
+        let after = [
+            [10, 0, r, r - 1, 3 * r, 2 * r],
+            [r + 6, r + 1, r, r, r + 2, 0],
+            [3 * r, 2 * r, r + 1, r + 1, 2 * r, 3 * r],
+            [2, 5 * r, r + 1, 0, r + 9, 3 * r + 4],
+        ];
+        for antithetic in [false, true] {
+            let mut stream = BatchFailureStream::new(model, &seeds);
+            if antithetic {
+                stream.reset_antithetic(&seeds);
+            }
+            let mut reference: Vec<TraceBuffer<_>> = seeds
+                .iter()
+                .map(|&seed| {
+                    let mut buffer = TraceBuffer::new(model, seed);
+                    if antithetic {
+                        buffer.reset_antithetic(seed);
+                    }
+                    buffer
+                })
+                .collect();
+            for (lane, &n) in before.iter().enumerate() {
+                for _ in 0..n {
+                    stream.next_failure(lane);
+                }
+            }
+            let mut record = ForkRecord::new();
+            // A wider fork first, so the record reuses larger allocations.
+            record.start(&BatchFailureStream::new(model, &lane_seeds(9)));
+            record.start(&stream);
+            for (program, counts) in after.iter().enumerate() {
+                let mut forked = stream.from_fork(&mut record);
+                assert_eq!(forked.lanes(), seeds.len());
+                let mut drawn = [0usize; 6];
+                // Lanes take turns, so their draws interleave.
+                while drawn.iter().zip(counts).any(|(d, c)| d < c) {
+                    for lane in [4, 1, 5, 0, 3, 2] {
+                        if drawn[lane] < counts[lane] {
+                            let want = reference[lane].time(before[lane] + drawn[lane]);
+                            let got = forked.next_failure(lane);
+                            let at = (antithetic, program, lane, drawn[lane]);
+                            assert_eq!(got.to_bits(), want.to_bits(), "{at:?}");
+                            drawn[lane] += 1;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

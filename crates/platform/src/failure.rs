@@ -105,6 +105,27 @@ pub trait FailureModel {
         let _ = state;
         prev + self.next_interarrival(rng)
     }
+
+    /// [`FailureModel::next_failure_time`] over a generator known at
+    /// compile time: the same draws and the same bits, with the model's
+    /// sampling body inlined into the caller instead of reached through
+    /// `&mut dyn` calls.  The streams and buffers of this crate draw
+    /// through it.
+    ///
+    /// The default forwards to the `dyn` hook, so every model gets it for
+    /// free; [`AnyFailureModel`] overrides it arm by arm.
+    #[inline]
+    fn next_failure_time_static<R: DeterministicRng>(
+        &self,
+        prev: f64,
+        state: &mut SourceState,
+        rng: &mut R,
+    ) -> f64
+    where
+        Self: Sized,
+    {
+        self.next_failure_time(prev, state, rng)
+    }
 }
 
 /// Adapter replaying one already-drawn raw output, so the default columnar
@@ -136,12 +157,18 @@ impl ExponentialFailures {
     pub fn mtbf(&self) -> f64 {
         self.mtbf
     }
+
+    /// The sampling body behind [`FailureModel::next_interarrival`].
+    #[inline]
+    fn interarrival<R: DeterministicRng + ?Sized>(&self, rng: &mut R) -> f64 {
+        rng.exponential(self.mtbf)
+    }
 }
 
 impl FailureModel for ExponentialFailures {
     #[inline]
     fn next_interarrival(&self, rng: &mut dyn DeterministicRng) -> f64 {
-        rng.exponential(self.mtbf)
+        self.interarrival(rng)
     }
 
     #[inline]
@@ -200,12 +227,18 @@ impl WeibullFailures {
     pub fn scale(&self) -> f64 {
         self.scale
     }
+
+    /// The sampling body behind [`FailureModel::next_interarrival`].
+    #[inline]
+    fn interarrival<R: DeterministicRng + ?Sized>(&self, rng: &mut R) -> f64 {
+        rng.weibull(self.scale, self.shape)
+    }
 }
 
 impl FailureModel for WeibullFailures {
     #[inline]
     fn next_interarrival(&self, rng: &mut dyn DeterministicRng) -> f64 {
-        rng.weibull(self.scale, self.shape)
+        self.interarrival(rng)
     }
 
     #[inline]
@@ -272,16 +305,22 @@ impl LogNormalFailures {
     pub fn mu_ln(&self) -> f64 {
         self.mu_ln
     }
-}
 
-impl FailureModel for LogNormalFailures {
+    /// The sampling body behind [`FailureModel::next_interarrival`].
     #[inline]
-    fn next_interarrival(&self, rng: &mut dyn DeterministicRng) -> f64 {
+    fn interarrival<R: DeterministicRng + ?Sized>(&self, rng: &mut R) -> f64 {
         // `next_f64_open` lands in (0, 1]; the u = 1 atom (probability 2⁻⁵³)
         // would map to Φ⁻¹(1) = ∞, so it is clamped to the largest
         // representable quantile below 1.
         let u = rng.next_f64_open().min(1.0 - f64::EPSILON / 2.0);
         (self.mu_ln + self.sigma * inverse_normal_cdf(u)).exp()
+    }
+}
+
+impl FailureModel for LogNormalFailures {
+    #[inline]
+    fn next_interarrival(&self, rng: &mut dyn DeterministicRng) -> f64 {
+        self.interarrival(rng)
     }
 
     #[inline]
@@ -618,6 +657,27 @@ impl FailureModel for AnyFailureModel {
     ) -> f64 {
         for_each_model!(self, m => m.next_failure_time(prev, state, rng))
     }
+
+    /// One match per draw, then each arm's sampling body inlined for `R`:
+    /// the i.i.d. arms add their gap to `prev` exactly as the default hook
+    /// does, and the scenario arms run their own stateful step.
+    #[inline]
+    fn next_failure_time_static<R: DeterministicRng>(
+        &self,
+        prev: f64,
+        state: &mut SourceState,
+        rng: &mut R,
+    ) -> f64 {
+        match self {
+            AnyFailureModel::Exponential(m) => prev + m.interarrival(rng),
+            AnyFailureModel::Weibull(m) => prev + m.interarrival(rng),
+            AnyFailureModel::LogNormal(m) => prev + m.interarrival(rng),
+            AnyFailureModel::Trace(m) => m.failure_time(prev, state, rng),
+            AnyFailureModel::Cascade(m) => m.failure_time(prev, state, rng),
+            AnyFailureModel::Diurnal(m) => m.failure_time(prev, rng),
+            AnyFailureModel::Wearout(m) => m.failure_time(prev, rng),
+        }
+    }
 }
 
 /// A source of *absolute* failure times, consumed one at a time by the
@@ -663,7 +723,7 @@ impl<M: FailureModel> FailureStream<M> {
     pub fn next_failure(&mut self) -> f64 {
         self.now = self
             .model
-            .next_failure_time(self.now, &mut self.state, &mut self.rng);
+            .next_failure_time_static(self.now, &mut self.state, &mut self.rng);
         self.now
     }
 
@@ -1022,6 +1082,52 @@ mod tests {
                     "{} entry {i}: {gap} vs {scalar}",
                     model.name()
                 );
+            }
+        }
+    }
+
+    /// Every arm of [`AnyFailureModel`] — the i.i.d. families and the
+    /// stateful scenario sources — draws the same bits and leaves the same
+    /// state and generator through the statically dispatched hook as
+    /// through the `dyn` one, plain and antithetic.
+    #[test]
+    fn static_draws_match_the_dyn_path_for_every_model() {
+        use crate::rng::AntitheticRng;
+        use crate::scenario::{
+            bundled_playback, CascadeFailures, DiurnalFailures, WearoutFailures,
+        };
+        let mtbf = 3_600.0;
+        let models = [
+            FailureSpec::Exponential.build(mtbf).unwrap(),
+            FailureSpec::Weibull { shape: 0.7 }.build(mtbf).unwrap(),
+            FailureSpec::LogNormal { sigma: 0.9 }.build(mtbf).unwrap(),
+            AnyFailureModel::Trace(bundled_playback().unwrap()),
+            AnyFailureModel::Cascade(CascadeFailures::with_defaults(mtbf).unwrap()),
+            AnyFailureModel::Diurnal(DiurnalFailures::with_defaults(mtbf).unwrap()),
+            AnyFailureModel::Wearout(WearoutFailures::with_defaults(mtbf, 1e7).unwrap()),
+        ];
+        for model in models {
+            for antithetic in [false, true] {
+                let what = format!("{} antithetic={antithetic}", model.name());
+                let mut by_dyn = (Xoshiro256::seed_from_u64(0x57A7), SourceState::default(), 0.0);
+                let mut by_static = by_dyn;
+                for draw in 0..20_000 {
+                    let (rng, state, prev) = &mut by_dyn;
+                    *prev = if antithetic {
+                        model.next_failure_time(*prev, state, &mut AntitheticRng(rng))
+                    } else {
+                        model.next_failure_time(*prev, state, rng)
+                    };
+                    let (rng, state, prev) = &mut by_static;
+                    *prev = if antithetic {
+                        model.next_failure_time_static(*prev, state, &mut AntitheticRng(rng))
+                    } else {
+                        model.next_failure_time_static(*prev, state, rng)
+                    };
+                    assert_eq!(by_dyn.2.to_bits(), by_static.2.to_bits(), "{what} draw {draw}");
+                    assert_eq!(by_dyn.1, by_static.1, "{what} draw {draw}");
+                }
+                assert_eq!(by_dyn.0, by_static.0, "{what}: generators drifted apart");
             }
         }
     }

@@ -49,7 +49,7 @@ pub mod units;
 
 pub use batch::{
     BatchFailureSource, BatchFailureStream, BatchTraceBuffer, BatchTraceCursor, CommitKernel,
-    Worklist,
+    ForkRecord, ForkedStream, Worklist,
 };
 pub use checksum::{ChecksumGen, Crc32, NullChecksum};
 pub use error::PlatformError;

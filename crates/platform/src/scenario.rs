@@ -436,30 +436,13 @@ impl TracePlayback {
     pub fn events_per_cycle(&self) -> usize {
         self.times.len()
     }
-}
 
-impl FailureModel for TracePlayback {
-    fn next_interarrival(&self, rng: &mut dyn DeterministicRng) -> f64 {
-        // Stationary fallback for callers outside the stream/buffer path:
-        // each call is treated as a fresh playback at t = 0 (draws a new
-        // phase).  Streams advance through `next_failure_time`.
-        self.next_failure_time(0.0, &mut SourceState::default(), rng)
-    }
-
-    #[inline]
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    fn name(&self) -> &'static str {
-        "trace"
-    }
-
-    fn next_failure_time(
+    /// The sampling body behind [`FailureModel::next_failure_time`].
+    pub(crate) fn failure_time<R: DeterministicRng + ?Sized>(
         &self,
         _prev: f64,
         state: &mut SourceState,
-        rng: &mut dyn DeterministicRng,
+        rng: &mut R,
     ) -> f64 {
         if !state.armed {
             // One uniform, drawn lazily on the first failure of the
@@ -484,6 +467,33 @@ impl FailureModel for TracePlayback {
             self.times[idx - wrapped] + state.offset
         };
         cycle as f64 * self.horizon + within
+    }
+}
+
+impl FailureModel for TracePlayback {
+    fn next_interarrival(&self, rng: &mut dyn DeterministicRng) -> f64 {
+        // Stationary fallback for callers outside the stream/buffer path:
+        // each call is treated as a fresh playback at t = 0 (draws a new
+        // phase).  Streams advance through `next_failure_time`.
+        self.next_failure_time(0.0, &mut SourceState::default(), rng)
+    }
+
+    #[inline]
+    fn mean(&self) -> f64 {
+        self.mean
+    }
+
+    fn name(&self) -> &'static str {
+        "trace"
+    }
+
+    fn next_failure_time(
+        &self,
+        prev: f64,
+        state: &mut SourceState,
+        rng: &mut dyn DeterministicRng,
+    ) -> f64 {
+        self.failure_time(prev, state, rng)
     }
 }
 
@@ -549,6 +559,28 @@ impl CascadeFailures {
     pub fn primary_gap(&self) -> f64 {
         self.primary_gap
     }
+
+    /// The sampling body behind [`FailureModel::next_failure_time`].
+    pub(crate) fn failure_time<R: DeterministicRng + ?Sized>(
+        &self,
+        prev: f64,
+        state: &mut SourceState,
+        rng: &mut R,
+    ) -> f64 {
+        if state.count > 0 {
+            state.count -= 1;
+            return prev + rng.exponential(self.aftershock_gap);
+        }
+        // Cluster start: always exactly two draws (primary gap, cluster
+        // size), so the draw count per call is deterministic and antithetic
+        // replays stay paired draw for draw.
+        let gap = rng.exponential(self.primary_gap);
+        let u = rng.next_f64_open();
+        // K ~ Geometric on {0, 1, …} with survival (1 − p)^k, p = 1/(1 + m),
+        // so E[K] = m: K = ⌊ln u / ln(m/(1 + m))⌋.
+        state.count = (u.ln() / self.ln_survival) as u64;
+        prev + gap
+    }
 }
 
 impl FailureModel for CascadeFailures {
@@ -574,19 +606,7 @@ impl FailureModel for CascadeFailures {
         state: &mut SourceState,
         rng: &mut dyn DeterministicRng,
     ) -> f64 {
-        if state.count > 0 {
-            state.count -= 1;
-            return prev + rng.exponential(self.aftershock_gap);
-        }
-        // Cluster start: always exactly two draws (primary gap, cluster
-        // size), so the draw count per call is deterministic and antithetic
-        // replays stay paired draw for draw.
-        let gap = rng.exponential(self.primary_gap);
-        let u = rng.next_f64_open();
-        // K ~ Geometric on {0, 1, …} with survival (1 − p)^k, p = 1/(1 + m),
-        // so E[K] = m: K = ⌊ln u / ln(m/(1 + m))⌋.
-        state.count = (u.ln() / self.ln_survival) as u64;
-        prev + gap
+        self.failure_time(prev, state, rng)
     }
 }
 
@@ -668,6 +688,23 @@ impl DiurnalFailures {
         };
         cycles * per_cycle + local
     }
+
+    /// The sampling body behind [`FailureModel::next_failure_time`].
+    pub(crate) fn failure_time<R: DeterministicRng + ?Sized>(&self, prev: f64, rng: &mut R) -> f64 {
+        let day = self.day_fraction * self.period;
+        let per_cycle = self.rate_hi * day + self.rate_lo * (self.period - day);
+        // Time-rescaling: the next arrival sits where the cumulative hazard
+        // reaches Λ(prev) + Exp(1).
+        let target = self.cumulative_hazard(prev) - rng.next_f64_open().ln();
+        let cycles = (target / per_cycle).floor();
+        let rem = target - cycles * per_cycle;
+        let s = if rem <= self.rate_hi * day {
+            rem / self.rate_hi
+        } else {
+            day + (rem - self.rate_hi * day) / self.rate_lo
+        };
+        cycles * self.period + s
+    }
 }
 
 impl FailureModel for DiurnalFailures {
@@ -689,23 +726,10 @@ impl FailureModel for DiurnalFailures {
     fn next_failure_time(
         &self,
         prev: f64,
-        state: &mut SourceState,
+        _state: &mut SourceState,
         rng: &mut dyn DeterministicRng,
     ) -> f64 {
-        let _ = state;
-        let day = self.day_fraction * self.period;
-        let per_cycle = self.rate_hi * day + self.rate_lo * (self.period - day);
-        // Time-rescaling: the next arrival sits where the cumulative hazard
-        // reaches Λ(prev) + Exp(1).
-        let target = self.cumulative_hazard(prev) - rng.next_f64_open().ln();
-        let cycles = (target / per_cycle).floor();
-        let rem = target - cycles * per_cycle;
-        let s = if rem <= self.rate_hi * day {
-            rem / self.rate_hi
-        } else {
-            day + (rem - self.rate_hi * day) / self.rate_lo
-        };
-        cycles * self.period + s
+        self.failure_time(prev, rng)
     }
 }
 
@@ -806,6 +830,14 @@ impl WearoutFailures {
             self.horizon + (target - self.hazard_at_horizon) / self.rate_at_horizon
         }
     }
+
+    /// The sampling body behind [`FailureModel::next_failure_time`].
+    pub(crate) fn failure_time<R: DeterministicRng + ?Sized>(&self, prev: f64, rng: &mut R) -> f64 {
+        // Saturated Λ inverted at Λ(prev) + Exp(1); draws that stay inside
+        // [0, T] are bit-identical to the uncapped power-law inversion.
+        let target = self.cumulative_hazard(prev) - rng.next_f64_open().ln();
+        self.invert_hazard(target)
+    }
 }
 
 impl FailureModel for WearoutFailures {
@@ -827,14 +859,10 @@ impl FailureModel for WearoutFailures {
     fn next_failure_time(
         &self,
         prev: f64,
-        state: &mut SourceState,
+        _state: &mut SourceState,
         rng: &mut dyn DeterministicRng,
     ) -> f64 {
-        let _ = state;
-        // Saturated Λ inverted at Λ(prev) + Exp(1); draws that stay inside
-        // [0, T] are bit-identical to the uncapped power-law inversion.
-        let target = self.cumulative_hazard(prev) - rng.next_f64_open().ln();
-        self.invert_hazard(target)
+        self.failure_time(prev, rng)
     }
 }
 

@@ -91,14 +91,14 @@ impl<M: FailureModel> TraceBuffer<M> {
             // re-extending a reset buffer (the crash-resume repositioning
             // path) reproduces the original sequence bit for bit.
             self.last = if self.antithetic {
-                self.model.next_failure_time(
+                self.model.next_failure_time_static(
                     self.last,
                     &mut self.state,
                     &mut crate::rng::AntitheticRng(&mut self.rng),
                 )
             } else {
                 self.model
-                    .next_failure_time(self.last, &mut self.state, &mut self.rng)
+                    .next_failure_time_static(self.last, &mut self.state, &mut self.rng)
             };
             self.times.push(self.last);
         }

@@ -83,7 +83,9 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use ft_composite::scenario::ApplicationProfile;
-use ft_platform::batch::{BatchFailureSource, BatchFailureStream, CommitKernel, Worklist};
+use ft_platform::batch::{
+    BatchFailureSource, BatchFailureStream, CommitKernel, ForkRecord, Worklist,
+};
 use ft_platform::failure::FailureSource;
 use ft_platform::rng::SeedStream;
 
@@ -783,7 +785,9 @@ fn drive_programs(
     // runs the programs' shared prefix once and forks there, into buffers
     // reused across segments.  The fork is exact: each lane's failure
     // sequence is a pure function of its seed and draw count, and the prefix
-    // makes the same draws for every program.
+    // makes the same draws for every program.  Past the fork the programs
+    // read the stream through a `ForkRecord`, so a failure one program drew
+    // is replayed to the others rather than drawn again.
     // The block layouts and the lane kernel are resolved once per call: the
     // prefix's blocks, then each program's blocks from the fork on.
     let prefix = shared_prefix(programs);
@@ -795,7 +799,7 @@ fn drive_programs(
     let kernel = CommitKernel::detect();
     let run_segment = |stream: &mut BatchFailureStream<_>,
                        state: &mut BatchState,
-                       fork: &mut (BatchFailureStream<_>, BatchState),
+                       fork: &mut (ForkRecord, BatchState),
                        seeds: &[u64],
                        firsts: &mut [Vec<SimOutcome>],
                        partners: &mut [Vec<SimOutcome>]| {
@@ -808,17 +812,16 @@ fn drive_programs(
             }
             state.reset(stream);
             programs[0].run_steps(&prefix_layout, kernel, stream, state);
+            fork.0.start(stream);
             if programs.len() > 1 {
-                fork.0.clone_from(stream);
                 fork.1.restore(state);
             }
             let runs = programs.iter().zip(&layouts).zip(outs);
             for (i, ((program, layout), out)) in runs.enumerate() {
                 if i > 0 {
-                    stream.clone_from(&fork.0);
                     state.restore(&fork.1);
                 }
-                program.run_steps(layout, kernel, stream, state);
+                program.run_steps(layout, kernel, &mut stream.from_fork(&mut fork.0), state);
                 out.clear();
                 out.extend((0..seeds.len()).map(|lane| program.outcome(state, lane)));
             }
@@ -835,7 +838,7 @@ fn drive_programs(
             let results = run_segments(&segments, threads, |start, width| -> PairedSegment {
                 let seeds = segment_seeds(master_seed, start, width);
                 let mut stream = BatchFailureStream::new(model, &[]);
-                let mut fork = (stream.clone(), BatchState::new());
+                let mut fork = (ForkRecord::new(), BatchState::new());
                 let mut firsts = vec![Vec::new(); programs.len()];
                 let mut partners = vec![Vec::new(); programs.len()];
                 let mut state = BatchState::new();
@@ -866,7 +869,7 @@ fn drive_programs(
     let mut seed_buf = vec![0u64; lanes];
     let mut stream = BatchFailureStream::new(model, &[]);
     let mut state = BatchState::new();
-    let mut fork = (stream.clone(), BatchState::new());
+    let mut fork = (ForkRecord::new(), BatchState::new());
     let mut firsts: Vec<Vec<SimOutcome>> = vec![Vec::with_capacity(lanes); programs.len()];
     let mut partners: Vec<Vec<SimOutcome>> = vec![Vec::with_capacity(lanes); programs.len()];
     let mut done = 0usize;
@@ -897,7 +900,7 @@ mod tests {
     use crate::replicate::{accumulate_paired_engine, ReplicationBudget};
     use ft_composite::params::ModelParams;
     use ft_composite::scaling::WeakScalingScenario;
-    use ft_platform::batch::BatchTraceBuffer;
+    use ft_platform::batch::{BatchTraceBuffer, FORK_RECORD};
     use ft_platform::failure::{AnyFailureModel, FailureSpec};
     use ft_platform::units::minutes;
 
@@ -1052,6 +1055,98 @@ mod tests {
                     assert_eq!(scalar, batch, "{budget:?} antithetic={antithetic} lanes={lanes}");
                 }
             }
+        }
+    }
+
+    /// A lane-counting view of a batch source: how many failures each
+    /// lane drew through it.
+    struct Counting<S> {
+        inner: S,
+        draws: Vec<usize>,
+    }
+
+    impl<S: BatchFailureSource> BatchFailureSource for Counting<S> {
+        fn lanes(&self) -> usize {
+            self.inner.lanes()
+        }
+
+        fn next_failure(&mut self, lane: usize) -> f64 {
+            self.draws[lane] += 1;
+            self.inner.next_failure(lane)
+        }
+
+        fn mean_interarrival(&self) -> f64 {
+            self.inner.mean_interarrival()
+        }
+    }
+
+    /// Draws that paired programs take from spill copies in the first
+    /// segment of `lanes` lanes: for each lane and program, the post-fork
+    /// draws past the record and behind the frontier the programs before
+    /// it left.
+    fn spilled_draws(engine: &Engine, programs: &[&BatchProgram], lanes: usize) -> usize {
+        let prefix = shared_prefix(programs);
+        let seeds = segment_seeds(5, 0, lanes);
+        let kernel = CommitKernel::detect();
+        let mut stream = fresh(engine, &seeds);
+        let mut spilled = 0;
+        for antithetic in [false, true] {
+            if antithetic {
+                stream.reset_antithetic(&seeds);
+            } else {
+                stream.reset(&seeds);
+            }
+            let mut state = BatchState::new();
+            state.reset(&mut stream);
+            let layout = BlockLayout::new(programs[0], 0..prefix);
+            programs[0].run_steps(&layout, kernel, &mut stream, &mut state);
+            let mut record = ForkRecord::new();
+            record.start(&stream);
+            let fork = state.clone();
+            let mut frontier = vec![0; lanes];
+            for program in programs {
+                state.restore(&fork);
+                let mut counting = Counting {
+                    inner: stream.from_fork(&mut record),
+                    draws: vec![0; lanes],
+                };
+                let layout = BlockLayout::new(program, prefix..program.len());
+                program.run_steps(&layout, kernel, &mut counting, &mut state);
+                for (front, &n) in frontier.iter_mut().zip(&counting.draws) {
+                    spilled += n.min(*front).saturating_sub(FORK_RECORD);
+                    *front = n.max(*front);
+                }
+            }
+        }
+        spilled
+    }
+
+    #[test]
+    fn paired_programs_replay_past_the_record_bit_exactly() {
+        use ft_platform::scenario::CascadeFailures;
+        // Cascade bursts at a 30-minute MTBF: hundreds of failures per
+        // week, so lanes outrun the record after the fork at α = 0.5.
+        let mtbf = minutes(30.0);
+        let params = ModelParams::paper_figure7(0.5, mtbf).unwrap();
+        let cascade = CascadeFailures::with_defaults(mtbf).unwrap();
+        let engine = Engine::with_failure_model(&params, AnyFailureModel::Cascade(cascade));
+        let profile = ApplicationProfile::from_params(&params);
+        let protocols = Protocol::all();
+        let programs: Vec<BatchProgram> = protocols
+            .iter()
+            .map(|&p| BatchProgram::compile(p, &profile, engine.plan()))
+            .collect();
+        let refs: Vec<&BatchProgram> = programs.iter().collect();
+        assert!(refs.len() >= 3 && shared_prefix(&refs) > 0);
+        let lanes = 8;
+        let spilled = spilled_draws(&engine, &refs, lanes);
+        assert!(spilled > 0, "no program drew past the record behind the frontier");
+        let plan = ReplicationPlan::new(ReplicationBudget::Fixed(20)).antithetic(true);
+        let scalar = accumulate_paired_engine(&engine, &protocols, &profile, plan, 5);
+        for threads in [1, 2] {
+            let batch =
+                accumulate_paired_programs_batch(&engine, &protocols, &refs, plan, 5, lanes, threads);
+            assert_eq!(scalar, batch, "threads={threads}");
         }
     }
 
