@@ -89,7 +89,7 @@ fn main() {
     if let Some(failure) = failure_spec_from_args(&args) {
         spec.failure = failure;
     }
-    spec.batch_lanes = args.value("--batch-lanes", spec.batch_lanes);
+    spec.batch_lanes = args.count("--batch-lanes", spec.batch_lanes);
     spec.point_threads = args.value("--point-threads", spec.point_threads);
 
     // Probe budget: paired-delta adaptive stopping unless the caller asked

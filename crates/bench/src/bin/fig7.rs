@@ -40,13 +40,13 @@ fn main() {
         Parameter::Mtbf,
         minutes(60.0),
         minutes(240.0),
-        args.points("--mtbf-points", 7),
+        args.count("--mtbf-points", 7),
     ))
     .axis(Axis::linspace(
         Parameter::Alpha,
         0.0,
         1.0,
-        args.points("--alpha-points", 6),
+        args.count("--alpha-points", 6),
     ))
     .protocols(protocols)
     .replications(200);

@@ -43,7 +43,7 @@ fn main() {
         parameter,
         args.value("--from", default_from),
         args.value("--to", default_to),
-        args.points("--steps", 10),
+        args.count("--steps", 10),
     ))
     .replications(100);
     run_cli(spec, &args);

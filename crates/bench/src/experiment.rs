@@ -1932,7 +1932,7 @@ pub fn run_cli(mut spec: SweepSpec, args: &Args) -> SweepResults {
     }
     spec.seed = args.value("--seed", spec.seed);
     spec.epochs = args.value("--epochs", spec.epochs).max(1);
-    spec.batch_lanes = args.value("--batch-lanes", spec.batch_lanes);
+    spec.batch_lanes = args.count("--batch-lanes", spec.batch_lanes);
     spec.point_threads = args.value("--point-threads", spec.point_threads);
     let threads: usize = args.value("--threads", 0);
     if threads > 0 {

@@ -82,16 +82,16 @@ impl Args {
         })
     }
 
-    /// The point count following `--name`, or `default` when the flag is
-    /// absent.  Zero points is a usage error: the process exits with code 2
-    /// and a message naming the flag.
-    pub fn points(&self, name: &str, default: usize) -> usize {
-        let points = self.value(name, default);
-        if points == 0 {
-            eprintln!("{name} needs at least one point");
+    /// The count following `--name` (points, lanes), or `default` when the
+    /// flag is absent.  Zero is a usage error: the process exits with code
+    /// 2 and a message naming the flag.
+    pub fn count(&self, name: &str, default: usize) -> usize {
+        let count = self.value(name, default);
+        if count == 0 {
+            eprintln!("{name} must be at least 1");
             std::process::exit(2);
         }
-        points
+        count
     }
 
     /// The string value following `--name`, or `default` when the flag is

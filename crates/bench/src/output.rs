@@ -182,23 +182,6 @@ pub fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders a crude ASCII heatmap of `values[row][col]` using a density ramp;
-/// used by the `heatmap` example and the `fig7` binary's `--ascii` mode.
-pub fn ascii_heatmap(values: &[Vec<f64>], min: f64, max: f64) -> String {
-    const RAMP: &[u8] = b" .:-=+*#%@";
-    let span = (max - min).max(1e-12);
-    let mut out = String::new();
-    for row in values {
-        for &v in row {
-            let t = ((v - min) / span).clamp(0.0, 1.0);
-            let idx = ((RAMP.len() - 1) as f64 * t).round() as usize;
-            out.push(RAMP[idx] as char);
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,15 +199,6 @@ mod tests {
         let csv = t.to_csv();
         assert_eq!(csv.lines().next().unwrap(), "nodes,waste");
         assert_eq!(csv.lines().count(), 3);
-    }
-
-    #[test]
-    fn heatmap_uses_denser_glyphs_for_larger_values() {
-        let map = ascii_heatmap(&[vec![0.0, 1.0]], 0.0, 1.0);
-        let chars: Vec<char> = map.trim_end().chars().collect();
-        assert_eq!(chars.len(), 2);
-        assert_eq!(chars[0], ' ');
-        assert_eq!(chars[1], '@');
     }
 
     #[test]

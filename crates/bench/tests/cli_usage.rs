@@ -50,6 +50,17 @@ fn zero_points_exit_with_code_2_naming_the_flag() {
 }
 
 #[test]
+fn zero_batch_lanes_exit_with_code_2_naming_the_flag() {
+    let out = sweep(&["--parameter", "alpha", "--batch-lanes", "0", "--replications", "0"]);
+    assert_usage_error(&out, "--batch-lanes");
+    let out = Command::new(env!("CARGO_BIN_EXE_crossover"))
+        .args(["--model-only", "--batch-lanes", "0"])
+        .output()
+        .expect("the crossover binary starts");
+    assert_usage_error(&out, "--batch-lanes");
+}
+
+#[test]
 fn one_step_sweeps_the_single_point_from() {
     let out = sweep(&[
         "--parameter", "alpha", "--from", "0.25", "--to", "0.75", "--steps", "1",

@@ -94,35 +94,6 @@ pub struct BatchFailureStream<M: FailureModel> {
     antithetic: bool,
 }
 
-/// One lane of a [`BatchFailureStream`] lifted out of it: its generator,
-/// the time of its last failure and its [`SourceState`].  Drawing from it
-/// continues the lane's sequence exactly where it was taken.
-#[derive(Debug, Clone, Copy)]
-struct LaneStream {
-    rng: Xoshiro256,
-    now: f64,
-    state: SourceState,
-}
-
-/// The absolute time of a lane's next failure, advancing its generator,
-/// its time and its state: the one draw every stream lane makes, through
-/// the model's statically dispatched hook.
-#[inline]
-fn draw<M: FailureModel>(
-    model: &M,
-    antithetic: bool,
-    rng: &mut Xoshiro256,
-    now: &mut f64,
-    state: &mut SourceState,
-) -> f64 {
-    *now = if antithetic {
-        model.next_failure_time_static(*now, state, &mut AntitheticRng(rng))
-    } else {
-        model.next_failure_time_static(*now, state, rng)
-    };
-    *now
-}
-
 impl<M: FailureModel> BatchFailureStream<M> {
     /// Creates a stream with one lane per seed.
     pub fn new(model: M, seeds: &[u64]) -> Self {
@@ -168,6 +139,20 @@ impl<M: FailureModel> BatchFailureStream<M> {
     pub fn model(&self) -> &M {
         &self.model
     }
+
+    /// The absolute time of `lane`'s next failure, advancing its generator,
+    /// its time and its state: the one draw every stream lane makes, through
+    /// the model's statically dispatched hook.
+    #[inline]
+    fn draw(&mut self, lane: usize) -> f64 {
+        let (rng, now, state) = (&mut self.rngs[lane], &mut self.now[lane], &mut self.states[lane]);
+        *now = if self.antithetic {
+            self.model.next_failure_time_static(*now, state, &mut AntitheticRng(rng))
+        } else {
+            self.model.next_failure_time_static(*now, state, rng)
+        };
+        *now
+    }
 }
 
 impl<M: FailureModel> BatchFailureSource for BatchFailureStream<M> {
@@ -184,13 +169,7 @@ impl<M: FailureModel> BatchFailureSource for BatchFailureStream<M> {
         // `now += next_interarrival` for i.i.d. models, which never touch
         // their lane's `SourceState`); per-lane state keeps the lanes fully
         // independent, exactly like the per-lane RNGs.
-        draw(
-            &self.model,
-            self.antithetic,
-            &mut self.rngs[lane],
-            &mut self.now[lane],
-            &mut self.states[lane],
-        )
+        self.draw(lane)
     }
 
     #[inline]
@@ -229,47 +208,44 @@ impl<M: FailureModel> BatchFailureSource for BatchFailureStream<M> {
     }
 }
 
-/// Post-fork draws per lane a [`ForkRecord`] holds.
+/// Failure times per chunk of a [`ForkRecord`]'s tape.
 pub const FORK_RECORD: usize = 64;
 
-/// Each lane's first [`FORK_RECORD`] failure times after a fork of a
-/// [`BatchFailureStream`], so that several programs run from the same fork
-/// draw every failure once.
+/// Every post-fork failure time of a [`BatchFailureStream`], so that several
+/// programs run from the same fork draw each failure once.
 ///
 /// [`ForkRecord::start`] marks the fork; each program then reads the lanes
 /// through [`BatchFailureStream::from_fork`], which starts every lane at the
-/// fork again.  Per lane, the record keeps the *frontier*: how many draws
-/// past the fork the live stream has made.  A program's `k`-th draw on a
-/// lane is
+/// fork again.  The record is a *tape*: one `Vec` of [`FORK_RECORD`]-sized
+/// chunks, where lane `l`'s chain starts at chunk `l` and each full chunk
+/// links to the next one of its lane, appended when a live draw fills it.
+/// Per lane the record keeps the tape slot of the live stream's next draw
+/// (the *frontier*) and of the running program's next read (`at`).  A
+/// program's read on a lane is
 ///
-/// * the recorded time, for `k` below the frontier and below
-///   [`FORK_RECORD`];
-/// * a live draw from the stream, for `k` at the frontier, which advances
-///   the frontier and, below [`FORK_RECORD`], is recorded;
-/// * otherwise — past the record and behind the frontier — a draw from the
-///   program's own copy of the lane's *spill*, the stream lane as it stood
-///   when the record filled.
+/// * the time at `at`, when `at` is behind the frontier;
+/// * a live draw from the stream, when `at` is the frontier, which is
+///   recorded there and advances the frontier.
 ///
-/// All three yield the lane's `k`-th post-fork failure bit for bit, since a
-/// lane's sequence is a pure function of its seed, its antithetic flag and
-/// its draw count.  The first program draws live throughout; later
-/// programs replay the record and draw live only where they outrun every
-/// program before them.  The spill copies stand in for a clone of the
-/// whole stream at the fork, and only lanes that draw past the record
-/// touch them.
+/// A lane's chain holds its post-fork draws in order, so both yield the
+/// program's next draw of the lane's sequence bit for bit: that sequence
+/// is a pure function of the lane's seed, its antithetic flag and its draw
+/// count.  The first program draws live throughout; later programs replay
+/// the tape and draw live only where they outrun every program before
+/// them.  The shared tape keeps the allocation of the longest segment's
+/// total of chunks, where buffers per lane would each keep their own
+/// lane's longest run.
 #[derive(Debug, Clone, Default)]
 pub struct ForkRecord {
-    /// Lane `l`'s `k`-th post-fork failure at `l * FORK_RECORD + k`.
-    times: Vec<f64>,
-    /// Post-fork draws the live stream made per lane.
+    /// [`FORK_RECORD`]-sized chunks of failure times; lane `l`'s chain
+    /// starts at chunk `l`.
+    tape: Vec<f64>,
+    /// The chunk after each full chunk in its lane's chain.
+    next: Vec<u32>,
+    /// The tape slot of the live stream's next draw per lane.
     frontier: Vec<u32>,
-    /// Post-fork draws the running program made per lane.
-    cursor: Vec<u32>,
-    /// Each lane's stream as it stood when its record filled.
-    spill: Vec<LaneStream>,
-    /// The running program's copy of a lane's spill, advanced by the draws
-    /// it made past the record and behind the frontier.
-    behind: Vec<LaneStream>,
+    /// The tape slot of the running program's next read per lane.
+    at: Vec<u32>,
 }
 
 impl ForkRecord {
@@ -278,21 +254,27 @@ impl ForkRecord {
         Self::default()
     }
 
-    /// Marks the fork of `stream`: no lane has drawn past it yet.  Keeps
-    /// the allocations of earlier forks.
+    /// Marks the fork of `stream`: each lane's chain is its first chunk,
+    /// empty.  Keeps the allocations of earlier forks.
     pub fn start<M: FailureModel>(&mut self, stream: &BatchFailureStream<M>) {
         let lanes = stream.lanes();
         self.frontier.clear();
-        self.frontier.resize(lanes, 0);
-        if self.times.len() < lanes * FORK_RECORD {
-            self.times.resize(lanes * FORK_RECORD, 0.0);
-            let blank = LaneStream {
-                rng: Xoshiro256::seed_from_u64(0),
-                now: 0.0,
-                state: SourceState::default(),
-            };
-            self.spill.resize(lanes, blank);
-            self.behind.resize(lanes, blank);
+        self.frontier.extend((0..lanes).map(|lane| (lane * FORK_RECORD) as u32));
+        self.tape.truncate(lanes * FORK_RECORD);
+        self.tape.resize(lanes * FORK_RECORD, 0.0);
+        self.next.truncate(lanes);
+        self.next.resize(lanes, 0);
+    }
+
+    /// The slot after `slot` in its lane's chain.  Past a chunk's end the
+    /// chunk is full, so the live draw that filled it linked the next.
+    #[inline]
+    fn step(&self, slot: u32) -> u32 {
+        let next = slot + 1;
+        if next.is_multiple_of(FORK_RECORD as u32) {
+            self.next[slot as usize / FORK_RECORD] * FORK_RECORD as u32
+        } else {
+            next
         }
     }
 }
@@ -303,8 +285,8 @@ impl<M: FailureModel> BatchFailureStream<M> {
     /// at the fork again.  Between the calls, draw from this stream only
     /// through the sources they return.
     pub fn from_fork<'a>(&'a mut self, record: &'a mut ForkRecord) -> ForkedStream<'a, M> {
-        record.cursor.clear();
-        record.cursor.resize(self.lanes(), 0);
+        record.at.clear();
+        record.at.extend((0..self.lanes()).map(|lane| (lane * FORK_RECORD) as u32));
         ForkedStream {
             stream: self,
             record,
@@ -323,7 +305,7 @@ pub struct ForkedStream<'a, M: FailureModel> {
 impl<M: FailureModel> BatchFailureSource for ForkedStream<'_, M> {
     #[inline]
     fn lanes(&self) -> usize {
-        self.record.cursor.len()
+        self.record.at.len()
     }
 
     /// Out of line: the engine's retry loops call this from many sites,
@@ -331,41 +313,25 @@ impl<M: FailureModel> BatchFailureSource for ForkedStream<'_, M> {
     /// one of them.
     #[inline(never)]
     fn next_failure(&mut self, lane: usize) -> f64 {
-        let (stream, record) = (&mut *self.stream, &mut *self.record);
-        let k = record.cursor[lane] as usize;
-        record.cursor[lane] += 1;
-        let frontier = record.frontier[lane] as usize;
-        if k < frontier.min(FORK_RECORD) {
-            return record.times[lane * FORK_RECORD + k];
+        let record = &mut *self.record;
+        let at = record.at[lane];
+        let slot = at as usize;
+        if at != record.frontier[lane] {
+            record.at[lane] = record.step(at);
+            return record.tape[slot];
         }
-        // Not recorded: a live draw at the frontier, recorded while the
-        // record has room, or else a draw from this program's copy of the
-        // lane's spill.
-        let live = k == frontier;
-        debug_assert!(live || (FORK_RECORD..frontier).contains(&k));
-        let (rng, now, state) = if live {
-            record.frontier[lane] += 1;
-            (&mut stream.rngs[lane], &mut stream.now[lane], &mut stream.states[lane])
-        } else {
-            // A program first gets here at draw `FORK_RECORD`, where its
-            // copy of the spill starts.
-            if k == FORK_RECORD {
-                record.behind[lane] = record.spill[lane];
-            }
-            let copy = &mut record.behind[lane];
-            (&mut copy.rng, &mut copy.now, &mut copy.state)
-        };
-        let t = draw(&stream.model, stream.antithetic, rng, now, state);
-        if live && k < FORK_RECORD {
-            record.times[lane * FORK_RECORD + k] = t;
-            if k + 1 == FORK_RECORD {
-                record.spill[lane] = LaneStream {
-                    rng: stream.rngs[lane],
-                    now: stream.now[lane],
-                    state: stream.states[lane],
-                };
-            }
+        let t = self.stream.draw(lane);
+        record.tape[slot] = t;
+        if (slot + 1).is_multiple_of(FORK_RECORD) {
+            // The chunk is full: append the lane's next one and link it.
+            record.next[slot / FORK_RECORD] = (record.tape.len() / FORK_RECORD) as u32;
+            record.next.push(0);
+            record.tape.resize(record.tape.len() + FORK_RECORD, 0.0);
+            assert!(record.tape.len() <= u32::MAX as usize, "fork tape past u32 slots");
         }
+        let next = record.step(at);
+        record.frontier[lane] = next;
+        record.at[lane] = next;
         t
     }
 
@@ -866,9 +832,9 @@ mod tests {
 
     /// Programs reading a stream from a fork each see every lane's own
     /// sequence from the fork on, bit for bit, whether a draw comes from
-    /// the record, the live stream or a spill copy: lanes stop inside the
-    /// record, at its end and far past it, and later programs both fall
-    /// behind and outrun the ones before them.
+    /// the tape or the live stream: lanes stop inside the first chunk, at
+    /// its end and far past it, and later programs both fall behind and
+    /// outrun the ones before them.
     #[test]
     fn forked_streams_replay_every_lanes_sequence_from_the_fork() {
         let model = crate::scenario::CascadeFailures::with_defaults(units::hours(1.0)).unwrap();
@@ -923,6 +889,62 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// However the programs' reads interleave and however far past the
+    /// first chunk they run, the live stream draws each post-fork failure
+    /// once: every lane ends `before + max over programs of its draws`
+    /// draws into its sequence.
+    #[test]
+    fn forked_streams_draw_each_post_fork_failure_once() {
+        let model = crate::scenario::CascadeFailures::with_defaults(units::hours(1.0)).unwrap();
+        let model = crate::failure::AnyFailureModel::Cascade(model);
+        let seeds = lane_seeds(5);
+        let r = FORK_RECORD;
+        let before = [2, 0, 5, 1, 0];
+        // Later programs both fall behind and outrun the ones before them.
+        let after = [
+            [5 * r, r + 3, 0, 2 * r, 7],
+            [r, 5 * r, 3 * r + 1, 2 * r - 1, 0],
+            [2 * r + 5, 4 * r, 3 * r, 5 * r, r],
+        ];
+        let most: Vec<usize> = (0..seeds.len())
+            .map(|lane| before[lane] + after.iter().map(|c| c[lane]).max().unwrap())
+            .collect();
+        for antithetic in [false, true] {
+            // A stream whose lane `l` has drawn `draws[l]` times.
+            let advanced = |draws: &[usize]| {
+                let mut stream = BatchFailureStream::new(model, &seeds);
+                if antithetic {
+                    stream.reset_antithetic(&seeds);
+                }
+                for (lane, &n) in draws.iter().enumerate() {
+                    for _ in 0..n {
+                        stream.next_failure(lane);
+                    }
+                }
+                stream
+            };
+            let mut stream = advanced(&before);
+            let mut record = ForkRecord::new();
+            record.start(&stream);
+            for counts in &after {
+                let mut forked = stream.from_fork(&mut record);
+                // Lanes take turns, so their draws interleave.
+                for round in 0..5 * r {
+                    for lane in [3, 0, 4, 2, 1].into_iter().filter(|&l| round < counts[l]) {
+                        forked.next_failure(lane);
+                    }
+                }
+            }
+            let fresh = advanced(&most);
+            for lane in 0..seeds.len() {
+                let at = (antithetic, lane);
+                assert_eq!(stream.rngs[lane], fresh.rngs[lane], "{at:?}");
+                assert_eq!(stream.now[lane].to_bits(), fresh.now[lane].to_bits(), "{at:?}");
+                assert_eq!(stream.states[lane], fresh.states[lane], "{at:?}");
             }
         }
     }

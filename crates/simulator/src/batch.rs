@@ -86,7 +86,7 @@ use ft_composite::scenario::ApplicationProfile;
 use ft_platform::batch::{
     BatchFailureSource, BatchFailureStream, CommitKernel, ForkRecord, Worklist,
 };
-use ft_platform::failure::FailureSource;
+use ft_platform::failure::{AnyFailureModel, FailureSource};
 use ft_platform::rng::SeedStream;
 
 use crate::clock::SimClock;
@@ -641,35 +641,30 @@ fn wave_segments(blocks: &[(usize, usize)], lanes: usize) -> Vec<(usize, usize)>
     segments
 }
 
-/// Runs `f` over every segment on `threads` scoped OS threads, returning the
-/// results in segment order.  Segments are dealt to workers in contiguous
-/// runs; because every segment's result is a pure function of its `(start,
-/// width)` (the seeds come from [`SeedStream::nth_seed`]), the thread layout
-/// is unobservable in the output.
-fn run_segments<T, F>(segments: &[(usize, usize)], threads: usize, f: F) -> Vec<T>
+/// Runs `f` over every segment on scoped OS threads, one per worker:
+/// segments are dealt to the workers in contiguous runs, and `f(worker, j,
+/// segment)` runs the `j`-th segment of a run on that worker's buffers.
+/// Returns the run length, so segment `s` ran as slot `s % run` of worker
+/// `s / run`.  Because every segment's result is a pure function of its
+/// `(start, width)` (the seeds come from [`SeedStream::nth_seed`]), the
+/// thread layout is unobservable in the output.
+fn run_segments<W, F>(segments: &[(usize, usize)], workers: &mut [W], f: F) -> usize
 where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
+    W: Send,
+    F: Fn(&mut W, usize, (usize, usize)) + Sync,
 {
-    let per_worker = segments.len().div_ceil(threads).max(1);
-    let mut results = Vec::with_capacity(segments.len());
+    let run = segments.len().div_ceil(workers.len()).max(1);
     let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = segments
-            .chunks(per_worker)
-            .map(|run| {
-                scope.spawn(move || {
-                    run.iter()
-                        .map(|&(start, width)| f(start, width))
-                        .collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            results.extend(handle.join().expect("segment worker panicked"));
+        for (segments, worker) in segments.chunks(run).zip(workers) {
+            scope.spawn(move || {
+                for (j, &segment) in segments.iter().enumerate() {
+                    f(worker, j, segment);
+                }
+            });
         }
     });
-    results
+    run
 }
 
 /// The per-segment seed column: replication `start + j` draws seed
@@ -704,6 +699,27 @@ pub fn accumulate_profile_program_batch(
 /// One protocol-set evaluation of a paired segment: per-protocol first-pass
 /// outcomes plus (under antithetic pairing) per-protocol partner outcomes.
 type PairedSegment = (Vec<Vec<SimOutcome>>, Vec<Vec<SimOutcome>>);
+
+/// One driver thread's buffers, reused across its segments and waves: the
+/// failure stream, the lane state, the fork (record and lane state), and
+/// one [`PairedSegment`] per segment the thread runs in a wave.
+struct SegmentBuffers {
+    stream: BatchFailureStream<AnyFailureModel>,
+    state: BatchState,
+    fork: (ForkRecord, BatchState),
+    results: Vec<PairedSegment>,
+}
+
+impl SegmentBuffers {
+    fn new(model: AnyFailureModel) -> Self {
+        Self {
+            stream: BatchFailureStream::new(model, &[]),
+            state: BatchState::new(),
+            fork: (ForkRecord::new(), BatchState::new()),
+            results: Vec::new(),
+        }
+    }
+}
 
 /// The replication driver: a common-random-numbers comparison of
 /// pre-compiled programs (one per protocol, same order), `lanes`
@@ -797,12 +813,13 @@ fn drive_programs(
         .map(|program| BlockLayout::new(program, prefix..program.len()))
         .collect();
     let kernel = CommitKernel::detect();
-    let run_segment = |stream: &mut BatchFailureStream<_>,
-                       state: &mut BatchState,
-                       fork: &mut (ForkRecord, BatchState),
-                       seeds: &[u64],
-                       firsts: &mut [Vec<SimOutcome>],
-                       partners: &mut [Vec<SimOutcome>]| {
+    // Runs one segment on `buffers`, leaving its outcomes in `results[slot]`.
+    let run_segment = |buffers: &mut SegmentBuffers, seeds: &[u64], slot: usize| {
+        let SegmentBuffers { stream, state, fork, results } = buffers;
+        if results.len() == slot {
+            results.push((vec![Vec::new(); programs.len()], vec![Vec::new(); programs.len()]));
+        }
+        let (firsts, partners) = &mut results[slot];
         let passes = if plan.antithetic { 2 } else { 1 };
         for (antithetic, outs) in [(false, firsts), (true, partners)].into_iter().take(passes) {
             if antithetic {
@@ -828,6 +845,10 @@ fn drive_programs(
         }
     };
     if threads > 1 {
+        // One set of buffers per thread, kept across waves, so the fork
+        // record's tape and the outcome buffers are not regrown per segment.
+        let mut workers: Vec<SegmentBuffers> =
+            (0..threads).map(|_| SegmentBuffers::new(model)).collect();
         let mut done = 0usize;
         'drive: loop {
             let blocks = next_wave(&budget, done, lanes, threads);
@@ -835,15 +856,8 @@ fn drive_programs(
                 break;
             }
             let segments = wave_segments(&blocks, lanes);
-            let results = run_segments(&segments, threads, |start, width| -> PairedSegment {
-                let seeds = segment_seeds(master_seed, start, width);
-                let mut stream = BatchFailureStream::new(model, &[]);
-                let mut fork = (ForkRecord::new(), BatchState::new());
-                let mut firsts = vec![Vec::new(); programs.len()];
-                let mut partners = vec![Vec::new(); programs.len()];
-                let mut state = BatchState::new();
-                run_segment(&mut stream, &mut state, &mut fork, &seeds, &mut firsts, &mut partners);
-                (firsts, partners)
+            let run = run_segments(&segments, &mut workers, |buffers, slot, (start, width)| {
+                run_segment(buffers, &segment_seeds(master_seed, start, width), slot);
             });
             // Merge in replication order, block by block, replicating the
             // serial push sequence and stopping boundaries exactly; a wave
@@ -852,7 +866,7 @@ fn drive_programs(
             for &(_, block_len) in &blocks {
                 let mut merged = 0usize;
                 while merged < block_len {
-                    let (firsts, partners) = &results[segment];
+                    let (firsts, partners) = &workers[segment / run].results[segment % run];
                     merge_segment(acc, firsts, partners);
                     merged += firsts[0].len();
                     segment += 1;
@@ -867,11 +881,7 @@ fn drive_programs(
     }
     let mut seeds = SeedStream::new(master_seed);
     let mut seed_buf = vec![0u64; lanes];
-    let mut stream = BatchFailureStream::new(model, &[]);
-    let mut state = BatchState::new();
-    let mut fork = (ForkRecord::new(), BatchState::new());
-    let mut firsts: Vec<Vec<SimOutcome>> = vec![Vec::with_capacity(lanes); programs.len()];
-    let mut partners: Vec<Vec<SimOutcome>> = vec![Vec::with_capacity(lanes); programs.len()];
+    let mut buffers = SegmentBuffers::new(model);
     let mut done = 0usize;
     loop {
         let block = budget.next_block(done);
@@ -883,8 +893,9 @@ fn drive_programs(
             let width = remaining.min(lanes);
             let chunk = &mut seed_buf[..width];
             seeds.fill(chunk);
-            run_segment(&mut stream, &mut state, &mut fork, chunk, &mut firsts, &mut partners);
-            merge_segment(acc, &firsts, &partners);
+            run_segment(&mut buffers, chunk, 0);
+            let (firsts, partners) = &buffers.results[0];
+            merge_segment(acc, firsts, partners);
             remaining -= width;
         }
         done += block;
@@ -1080,10 +1091,10 @@ mod tests {
         }
     }
 
-    /// Draws that paired programs take from spill copies in the first
-    /// segment of `lanes` lanes: for each lane and program, the post-fork
-    /// draws past the record and behind the frontier the programs before
-    /// it left.
+    /// Reads that paired programs take from past the fork record's first
+    /// chunk in the first segment of `lanes` lanes: for each lane and
+    /// program, the post-fork draws past [`FORK_RECORD`] that the programs
+    /// before it had already made.
     fn spilled_draws(engine: &Engine, programs: &[&BatchProgram], lanes: usize) -> usize {
         let prefix = shared_prefix(programs);
         let seeds = segment_seeds(5, 0, lanes);

@@ -141,13 +141,6 @@ impl<F: FailureSource> SimClock<F> {
         }
     }
 
-    /// Runs an activity that is *restarted from scratch* every time a failure
-    /// interrupts it (e.g. downtime + reload): loops until one full attempt
-    /// completes, accumulating all the wasted attempts on the clock.
-    pub fn run_restartable(&mut self, duration: f64) {
-        while !self.try_run(duration).is_completed() {}
-    }
-
     /// Performs a classic rollback recovery: downtime `d` followed by a
     /// reload of cost `r`.  A failure during either part restarts the whole
     /// recovery (the freshly restarted process is hit again).
@@ -246,18 +239,6 @@ mod tests {
         let mut clock = SimClock::new(1e15, 13);
         clock.recover(60.0, 120.0);
         assert!((clock.now() - 180.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn restartable_activity_completes_exactly_once_cleanly() {
-        let mut clock = SimClock::new(1e15, 1);
-        clock.run_restartable(500.0);
-        assert!((clock.now() - 500.0).abs() < 1e-9);
-
-        let mut clock = SimClock::new(400.0, 21);
-        clock.run_restartable(500.0);
-        // The last attempt is clean, so at least 500 s elapsed.
-        assert!(clock.now() >= 500.0);
     }
 
     #[test]
