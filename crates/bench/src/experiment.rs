@@ -244,16 +244,17 @@ pub struct SweepSpec {
     /// Master seed; per-task seeds are derived deterministically from it.
     pub seed: u64,
     /// Lane width of the batched SoA simulation engine every simulation
-    /// runs on (`0` and `1` both mean one lane per batch).  Purely a
+    /// runs on, at least 1 ([`SweepSpec::expand`] rejects 0).  Purely a
     /// throughput knob: every width is bit-exact with the scalar executors
     /// (proven by the differential oracle harness), so every reported
     /// figure is identical at any width (CLI: `--batch-lanes`).
     pub batch_lanes: usize,
-    /// Intra-point thread count of the batch replication drivers: each
-    /// point's replication blocks are split across this many OS threads with
-    /// deterministic seed offsets and an order-preserving merge, so results
-    /// are bit-identical at every value (CLI: `--point-threads`; `0` = the
-    /// host's available parallelism, `1` = the serial drivers).  Composes
+    /// Intra-point thread count of the batch replication driver: each
+    /// point's lane-width replication segments run in waves across this many
+    /// threads with deterministic seed offsets and an order-preserving
+    /// merge, so results are bit-identical at every value (CLI:
+    /// `--point-threads`; `0` = the host's available parallelism, `1` = the
+    /// calling thread only).  Composes
     /// with the whole-grid rayon parallelism of [`SweepSpec::run`].
     pub point_threads: usize,
 }
@@ -383,16 +384,15 @@ impl SweepSpec {
         self
     }
 
-    /// Sets the lane width of the batched simulation engine (`0` and `1`
-    /// both mean one lane per batch).  Results are bit-identical at any
-    /// width.
+    /// Sets the lane width of the batched simulation engine, at least 1.
+    /// Results are bit-identical at any width.
     pub fn batch_lanes(mut self, lanes: usize) -> Self {
         self.batch_lanes = lanes;
         self
     }
 
-    /// Sets the intra-point thread count of the batch replication drivers
-    /// (`0` = host parallelism, `1` = serial).  Results are bit-identical at
+    /// Sets the intra-point thread count of the batch replication driver
+    /// (`0` = host parallelism, `1` = the calling thread only).  Results are bit-identical at
     /// any value.
     pub fn point_threads(mut self, threads: usize) -> Self {
         self.point_threads = threads;
@@ -406,6 +406,9 @@ impl SweepSpec {
         self.failure
             .validate()
             .map_err(|e| SweepError(format!("invalid failure model: {e}")))?;
+        if self.batch_lanes == 0 {
+            return Err(SweepError("the batch lane width must be at least 1".into()));
+        }
         if !self.failure_scenario.is_iid() {
             // The scenario *is* the simulation clock: combining it with a
             // non-exponential i.i.d. spec (or a shape axis) would silently
@@ -2032,6 +2035,14 @@ mod tests {
         let empty = SweepSpec::new("t", figure7_base())
             .axis(Axis::values(Parameter::Alpha, vec![]));
         assert!(empty.expand().is_err());
+    }
+
+    #[test]
+    fn zero_batch_lanes_are_rejected_at_expansion() {
+        let spec = SweepSpec::new("t", figure7_base()).batch_lanes(0);
+        let err = spec.expand().unwrap_err();
+        assert!(err.to_string().contains("batch lane width"), "{err}");
+        assert!(spec.batch_lanes(1).expand().is_ok());
     }
 
     #[test]

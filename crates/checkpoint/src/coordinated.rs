@@ -91,16 +91,6 @@ impl CoordinatedCheckpoint {
         self.snapshots.iter().map(ProcessSnapshot::bytes).sum()
     }
 
-    /// Captured volume restricted to one dataset, in bytes.
-    pub fn bytes_of(&self, kind: DatasetKind) -> usize {
-        self.snapshots
-            .iter()
-            .flat_map(|s| s.regions.iter())
-            .filter(|r| r.kind == kind)
-            .map(|r| r.data.len())
-            .sum()
-    }
-
     /// Rebuilds a live [`ProcessSet`] from this checkpoint image — the
     /// crash-resume path where no process survives to be restored in place
     /// (the runtime reloads a frame stream and reconstitutes the whole set).
@@ -152,8 +142,6 @@ mod tests {
         let ckpt = CoordinatedCheckpoint::capture(&set, 42.0);
         assert_eq!(ckpt.ranks(), 3);
         assert_eq!(ckpt.bytes(), set.total_footprint());
-        assert_eq!(ckpt.bytes_of(DatasetKind::Library), 300);
-        assert_eq!(ckpt.bytes_of(DatasetKind::Remainder), 150);
         assert_eq!(ckpt.time, 42.0);
     }
 

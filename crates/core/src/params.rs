@@ -144,13 +144,6 @@ impl ModelParams {
         Ok(self)
     }
 
-    /// Returns a copy with a different epoch duration `T_0`.
-    pub fn with_epoch_duration(mut self, duration: f64) -> Result<Self> {
-        ensure_positive("epoch_duration", duration)?;
-        self.epoch_duration = duration;
-        Ok(self)
-    }
-
     fn validate_mtbf(&self, mtbf: f64) -> Result<()> {
         let overheads = self.downtime + self.recovery_cost;
         if mtbf <= overheads {
@@ -333,8 +326,6 @@ mod tests {
         assert!(p.with_downtime(-1.0).is_err());
         assert_eq!(p.with_abft_reconstruction(9.0).unwrap().abft_reconstruction, 9.0);
         assert!(p.with_abft_reconstruction(-1.0).is_err());
-        assert_eq!(p.with_epoch_duration(100.0).unwrap().epoch_duration, 100.0);
-        assert!(p.with_epoch_duration(0.0).is_err());
     }
 
     #[test]

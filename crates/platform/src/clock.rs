@@ -79,11 +79,6 @@ impl Stopwatch {
             Inner::Manual { elapsed } => *elapsed,
         }
     }
-
-    /// Whether this stopwatch reads real time.
-    pub fn is_wall(&self) -> bool {
-        matches!(self.0, Inner::Wall(_))
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +88,6 @@ mod tests {
     #[test]
     fn wall_stopwatch_is_monotone() {
         let sw = Stopwatch::start();
-        assert!(sw.is_wall());
         let a = sw.elapsed_seconds();
         let b = sw.elapsed_seconds();
         assert!(a >= 0.0);
@@ -103,7 +97,6 @@ mod tests {
     #[test]
     fn manual_stopwatch_is_injected_time() {
         let mut sw = Stopwatch::manual();
-        assert!(!sw.is_wall());
         assert_eq!(sw.elapsed_seconds(), 0.0);
         sw.advance(0.25);
         sw.advance(1.0);

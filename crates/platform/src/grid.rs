@@ -24,20 +24,6 @@ impl ProcessGrid {
         Ok(Self { rows, cols })
     }
 
-    /// Creates the most-square grid containing exactly `n` processes
-    /// (`rows ≤ cols`, `rows × cols = n`).
-    pub fn squarest(n: usize) -> Result<Self> {
-        if n == 0 {
-            return Err(PlatformError::EmptyGrid);
-        }
-        let mut rows = (n as f64).sqrt().floor() as usize;
-        while rows > 1 && !n.is_multiple_of(rows) {
-            rows -= 1;
-        }
-        let rows = rows.max(1);
-        Ok(Self { rows, cols: n / rows })
-    }
-
     /// Number of process rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -78,28 +64,6 @@ impl ProcessGrid {
         Ok(p * self.cols + q)
     }
 
-    /// All ranks in process row `p`.
-    pub fn row_ranks(&self, p: usize) -> Result<Vec<usize>> {
-        if p >= self.rows {
-            return Err(PlatformError::RankOutOfRange {
-                rank: p * self.cols,
-                size: self.size(),
-            });
-        }
-        Ok((0..self.cols).map(|q| p * self.cols + q).collect())
-    }
-
-    /// All ranks in process column `q`.
-    pub fn col_ranks(&self, q: usize) -> Result<Vec<usize>> {
-        if q >= self.cols {
-            return Err(PlatformError::RankOutOfRange {
-                rank: q,
-                size: self.size(),
-            });
-        }
-        Ok((0..self.rows).map(|p| p * self.cols + q).collect())
-    }
-
     /// Iterator over all ranks.
     pub fn ranks(&self) -> impl Iterator<Item = usize> {
         0..self.size()
@@ -114,7 +78,6 @@ mod tests {
     fn construction_rejects_empty() {
         assert!(ProcessGrid::new(0, 3).is_err());
         assert!(ProcessGrid::new(3, 0).is_err());
-        assert!(ProcessGrid::squarest(0).is_err());
     }
 
     #[test]
@@ -127,31 +90,5 @@ mod tests {
         assert!(g.coords(12).is_err());
         assert!(g.rank(3, 0).is_err());
         assert!(g.rank(0, 4).is_err());
-    }
-
-    #[test]
-    fn squarest_produces_exact_cover() {
-        for n in 1..=64 {
-            let g = ProcessGrid::squarest(n).unwrap();
-            assert_eq!(g.size(), n, "n = {n}");
-            assert!(g.rows() <= g.cols());
-        }
-        let g = ProcessGrid::squarest(12).unwrap();
-        assert_eq!((g.rows(), g.cols()), (3, 4));
-        let g = ProcessGrid::squarest(16).unwrap();
-        assert_eq!((g.rows(), g.cols()), (4, 4));
-        // Primes degrade to a 1 × n grid.
-        let g = ProcessGrid::squarest(13).unwrap();
-        assert_eq!((g.rows(), g.cols()), (1, 13));
-    }
-
-    #[test]
-    fn row_and_col_ranks() {
-        let g = ProcessGrid::new(2, 3).unwrap();
-        assert_eq!(g.row_ranks(0).unwrap(), vec![0, 1, 2]);
-        assert_eq!(g.row_ranks(1).unwrap(), vec![3, 4, 5]);
-        assert_eq!(g.col_ranks(1).unwrap(), vec![1, 4]);
-        assert!(g.row_ranks(2).is_err());
-        assert!(g.col_ranks(3).is_err());
     }
 }

@@ -65,11 +65,11 @@
 //!   trace lanes), one outcome per lane: the oracle harness surface;
 //! * [`accumulate_paired_programs_batch`] — the one replication driver:
 //!   pre-compiled (usually [`BatchProgramCache`]d) programs, one per
-//!   protocol, over common random numbers, with an intra-point `threads`
-//!   knob that splits replication blocks across OS threads while staying
-//!   bit-identical to the serial driver (deterministic
-//!   [`SeedStream::nth_seed`] offsets, order-preserving merge, stopping
-//!   checks on the same block boundaries).  It reproduces the scalar
+//!   protocol, over common random numbers, in one loop of waves of
+//!   lane-width segments, at most `threads` per wave and one per worker,
+//!   bit-identical at every thread count (deterministic
+//!   [`SeedStream::nth_seed`] seeds, a merge in replication order, stopping
+//!   checks on the block boundaries).  It reproduces the scalar
 //!   reference [`crate::replicate::accumulate_paired_engine`] bit for bit:
 //!   same seed stream, same push sequence, same stopping rule (both are
 //!   [`PairedAccumulator`] methods);
@@ -92,7 +92,7 @@ use ft_platform::rng::SeedStream;
 use crate::clock::SimClock;
 use crate::engine::{emit_steps, Engine, PeriodPlan, Step};
 use crate::protocols::{Protocol, SimOutcome};
-use crate::replicate::{PairedAccumulator, ReplicationBudget, ReplicationPlan};
+use crate::replicate::{PairedAccumulator, ReplicationPlan};
 use crate::stats::{OutcomeAccumulator, Welford};
 
 /// Default lane width of the batch engine: wide enough to amortise the
@@ -586,7 +586,7 @@ impl BatchProgramCache {
     }
 }
 
-/// Resolves the `threads` knob of the intra-point drivers: `0` means "use
+/// Resolves the `threads` knob of the replication driver: `0` means "use
 /// the host's available parallelism", anything else is taken literally.
 fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
@@ -596,89 +596,13 @@ fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// The next speculative *wave* of replication blocks: block boundaries are a
-/// pure function of the budget and the replications already merged (see
-/// [`ReplicationBudget::next_block`]), so the parallel driver can lay out
-/// the blocks a wave executes before knowing whether stopping fires inside
-/// it.  The wave is capped at `threads` lane-width segments so at most one
-/// wave of work is ever speculated past a stopping decision.
-fn next_wave(
-    budget: &ReplicationBudget,
-    done: usize,
-    lanes: usize,
-    threads: usize,
-) -> Vec<(usize, usize)> {
-    let mut blocks = Vec::new();
-    let mut wave_done = done;
-    let mut segments = 0usize;
-    while segments < threads {
-        let block = budget.next_block(wave_done);
-        if block == 0 {
-            break;
-        }
-        blocks.push((wave_done, block));
-        segments += block.div_ceil(lanes);
-        wave_done += block;
-    }
-    blocks
-}
-
-/// Splits a wave's blocks into the `(start, width)` segments the serial
-/// driver's chunk loop would execute — lane-width chunks with a ragged tail
-/// per block, in replication order.
-fn wave_segments(blocks: &[(usize, usize)], lanes: usize) -> Vec<(usize, usize)> {
-    let mut segments = Vec::new();
-    for &(block_start, block_len) in blocks {
-        let mut start = block_start;
-        let mut remaining = block_len;
-        while remaining > 0 {
-            let width = remaining.min(lanes);
-            segments.push((start, width));
-            start += width;
-            remaining -= width;
-        }
-    }
-    segments
-}
-
-/// Runs `f` over every segment on scoped OS threads, one per worker:
-/// segments are dealt to the workers in contiguous runs, and `f(worker, j,
-/// segment)` runs the `j`-th segment of a run on that worker's buffers.
-/// Returns the run length, so segment `s` ran as slot `s % run` of worker
-/// `s / run`.  Because every segment's result is a pure function of its
-/// `(start, width)` (the seeds come from [`SeedStream::nth_seed`]), the
-/// thread layout is unobservable in the output.
-fn run_segments<W, F>(segments: &[(usize, usize)], workers: &mut [W], f: F) -> usize
-where
-    W: Send,
-    F: Fn(&mut W, usize, (usize, usize)) + Sync,
-{
-    let run = segments.len().div_ceil(workers.len()).max(1);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (segments, worker) in segments.chunks(run).zip(workers) {
-            scope.spawn(move || {
-                for (j, &segment) in segments.iter().enumerate() {
-                    f(worker, j, segment);
-                }
-            });
-        }
-    });
-    run
-}
-
-/// The per-segment seed column: replication `start + j` draws seed
-/// `nth_seed(master, start + j)` — exactly the value the serial driver's
-/// shared [`SeedStream`] hands that replication.
-fn segment_seeds(master_seed: u64, start: usize, width: usize) -> Vec<u64> {
-    (0..width)
-        .map(|j| SeedStream::nth_seed(master_seed, (start + j) as u64))
-        .collect()
-}
-
 /// The replication driver ([`accumulate_paired_programs_batch`]) over one
 /// pre-compiled program, which has no deltas to stream and stops by the
 /// marginal rule alone.
+///
+/// # Panics
+///
+/// If `lanes` is 0.
 pub fn accumulate_profile_program_batch(
     engine: &Engine,
     program: &BatchProgram,
@@ -696,27 +620,32 @@ pub fn accumulate_profile_program_batch(
     std::mem::take(&mut acc.outcomes[0])
 }
 
-/// One protocol-set evaluation of a paired segment: per-protocol first-pass
-/// outcomes plus (under antithetic pairing) per-protocol partner outcomes.
-type PairedSegment = (Vec<Vec<SimOutcome>>, Vec<Vec<SimOutcome>>);
-
-/// One driver thread's buffers, reused across its segments and waves: the
-/// failure stream, the lane state, the fork (record and lane state), and
-/// one [`PairedSegment`] per segment the thread runs in a wave.
+/// One driver worker's buffers, reused across waves: the failure stream,
+/// the lane state, the fork (record and lane state), the seed column of the
+/// one segment the worker runs per wave, and that segment's per-program
+/// outcomes (first passes, and partners under antithetic pairing).
 struct SegmentBuffers {
     stream: BatchFailureStream<AnyFailureModel>,
     state: BatchState,
     fork: (ForkRecord, BatchState),
-    results: Vec<PairedSegment>,
+    seeds: Vec<u64>,
+    firsts: Vec<Vec<SimOutcome>>,
+    partners: Vec<Vec<SimOutcome>>,
+    /// Whether the segment ends a replication block, where the stopping
+    /// rule is checked.
+    ends_block: bool,
 }
 
 impl SegmentBuffers {
-    fn new(model: AnyFailureModel) -> Self {
+    fn new(model: AnyFailureModel, programs: usize) -> Self {
         Self {
             stream: BatchFailureStream::new(model, &[]),
             state: BatchState::new(),
             fork: (ForkRecord::new(), BatchState::new()),
-            results: Vec::new(),
+            seeds: Vec::new(),
+            firsts: vec![Vec::new(); programs],
+            partners: vec![Vec::new(); programs],
+            ends_block: false,
         }
     }
 }
@@ -732,15 +661,19 @@ impl SegmentBuffers {
 /// begins with (the shared GENERAL stream, say) run once per segment pass;
 /// the programs fork from that state.
 ///
-/// `threads == 0` resolves to the host's available parallelism; `threads <=
-/// 1` runs the serial driver.  The parallel driver splits replication blocks
-/// into lane-width segments executed across scoped OS threads: every
-/// segment derives its seeds by [`SeedStream::nth_seed`] offset (the exact
-/// values the serial seed stream yields at those positions), results merge
-/// into the accumulator in replication order, and stopping is evaluated on
-/// the same block boundaries — so the result is bit-identical at every
-/// thread count, speculating at most one wave of blocks past the stopping
-/// decision.
+/// `threads == 0` resolves to the host's available parallelism.  The
+/// replications run in lane-width segments, in waves of at most `threads`
+/// segments, one per worker: worker 0 runs on the calling thread and the
+/// others on scoped OS threads (one thread spawns none).  Every segment
+/// derives its seeds by [`SeedStream::nth_seed`] offset, results merge into
+/// the accumulator in replication order, and stopping is evaluated on the
+/// block boundaries — so the result is bit-identical at every thread
+/// count, each worker buffers one segment, and at most `threads − 1`
+/// segments run past a stopping decision.
+///
+/// # Panics
+///
+/// If `programs` and `protocols` differ in length, or `lanes` is 0.
 pub fn accumulate_paired_programs_batch(
     engine: &Engine,
     protocols: &[Protocol],
@@ -760,9 +693,7 @@ pub fn accumulate_paired_programs_batch(
         outcomes: vec![OutcomeAccumulator::new(); protocols.len()],
         deltas: vec![Welford::new(); protocols.len()],
     };
-    if !protocols.is_empty() {
-        drive_programs(engine, programs, plan.into(), master_seed, lanes, threads, &mut acc);
-    }
+    drive_programs(engine, programs, plan.into(), master_seed, lanes, threads, &mut acc);
     acc
 }
 
@@ -779,23 +710,13 @@ fn drive_programs(
     threads: usize,
     acc: &mut PairedAccumulator,
 ) {
+    assert!(lanes > 0, "a batch runs at least one lane");
+    if programs.is_empty() {
+        return;
+    }
     let budget = plan.budget;
-    let lanes = lanes.max(1);
     let threads = resolve_threads(threads);
     let model = *engine.failure_model();
-    // Serial and parallel drivers share the per-segment merge: lane by
-    // lane, the scalar reference's per-sample push sequence.
-    let merge_segment =
-        |acc: &mut PairedAccumulator, firsts: &[Vec<SimOutcome>], partners: &[Vec<SimOutcome>]| {
-            let width = firsts[0].len();
-            if plan.antithetic {
-                for lane in 0..width {
-                    acc.push_sample(|i| (firsts[i][lane], Some(partners[i][lane])));
-                }
-            } else {
-                (0..width).for_each(|lane| acc.push_sample(|i| (firsts[i][lane], None)));
-            }
-        };
     // Every program replays the same segment seeds — the batch form of
     // replaying one recorded trace per seed to all protocols — so each pass
     // runs the programs' shared prefix once and forks there, into buffers
@@ -813,13 +734,17 @@ fn drive_programs(
         .map(|program| BlockLayout::new(program, prefix..program.len()))
         .collect();
     let kernel = CommitKernel::detect();
-    // Runs one segment on `buffers`, leaving its outcomes in `results[slot]`.
-    let run_segment = |buffers: &mut SegmentBuffers, seeds: &[u64], slot: usize| {
-        let SegmentBuffers { stream, state, fork, results } = buffers;
-        if results.len() == slot {
-            results.push((vec![Vec::new(); programs.len()], vec![Vec::new(); programs.len()]));
-        }
-        let (firsts, partners) = &mut results[slot];
+    // Runs the segment seeded in `buffers`, leaving its outcomes there.
+    let run_segment = |buffers: &mut SegmentBuffers| {
+        let SegmentBuffers {
+            stream,
+            state,
+            fork,
+            seeds,
+            firsts,
+            partners,
+            ..
+        } = buffers;
         let passes = if plan.antithetic { 2 } else { 1 };
         for (antithetic, outs) in [(false, firsts), (true, partners)].into_iter().take(passes) {
             if antithetic {
@@ -844,63 +769,69 @@ fn drive_programs(
             }
         }
     };
-    if threads > 1 {
-        // One set of buffers per thread, kept across waves, so the fork
-        // record's tape and the outcome buffers are not regrown per segment.
-        let mut workers: Vec<SegmentBuffers> =
-            (0..threads).map(|_| SegmentBuffers::new(model)).collect();
-        let mut done = 0usize;
-        'drive: loop {
-            let blocks = next_wave(&budget, done, lanes, threads);
-            if blocks.is_empty() {
-                break;
+    let run_segment = &run_segment;
+    // The segment cursor walks the budget's blocks in lane-width segments,
+    // each with whether it ends its block.  Block boundaries are a pure
+    // function of the replications before them (see
+    // `ReplicationBudget::next_block`), so a wave lays out segments past
+    // a stopping check it has not made yet.
+    let (mut next, mut block_end) = (0usize, 0usize);
+    let mut segments = std::iter::from_fn(|| {
+        if next == block_end {
+            let block = budget.next_block(block_end);
+            if block == 0 {
+                return None;
             }
-            let segments = wave_segments(&blocks, lanes);
-            let run = run_segments(&segments, &mut workers, |buffers, slot, (start, width)| {
-                run_segment(buffers, &segment_seeds(master_seed, start, width), slot);
-            });
-            // Merge in replication order, block by block, replicating the
-            // serial push sequence and stopping boundaries exactly; a wave
-            // that over-speculated simply drops its unmerged tail.
-            let mut segment = 0usize;
-            for &(_, block_len) in &blocks {
-                let mut merged = 0usize;
-                while merged < block_len {
-                    let (firsts, partners) = &workers[segment / run].results[segment % run];
-                    merge_segment(acc, firsts, partners);
-                    merged += firsts[0].len();
-                    segment += 1;
-                }
-                done += block_len;
-                if acc.stopped(&budget) {
-                    break 'drive;
-                }
-            }
+            block_end += block;
         }
-        return;
-    }
-    let mut seeds = SeedStream::new(master_seed);
-    let mut seed_buf = vec![0u64; lanes];
-    let mut buffers = SegmentBuffers::new(model);
-    let mut done = 0usize;
+        let start = next;
+        next = block_end.min(start + lanes);
+        Some((start..next, next == block_end))
+    });
+    // Worker buffers grow to the widest wave and are kept across waves, so
+    // the fork record's tape, the seeds and the outcomes are not regrown.
+    let mut workers: Vec<SegmentBuffers> = Vec::new();
     loop {
-        let block = budget.next_block(done);
-        if block == 0 {
-            break;
+        let mut wave = 0;
+        while wave < threads {
+            let Some((replications, ends_block)) = segments.next() else {
+                break;
+            };
+            if workers.len() == wave {
+                workers.push(SegmentBuffers::new(model, programs.len()));
+            }
+            let worker = &mut workers[wave];
+            worker.seeds.clear();
+            worker
+                .seeds
+                .extend(replications.map(|r| SeedStream::nth_seed(master_seed, r as u64)));
+            worker.ends_block = ends_block;
+            wave += 1;
         }
-        let mut remaining = block;
-        while remaining > 0 {
-            let width = remaining.min(lanes);
-            let chunk = &mut seed_buf[..width];
-            seeds.fill(chunk);
-            run_segment(&mut buffers, chunk, 0);
-            let (firsts, partners) = &buffers.results[0];
-            merge_segment(acc, firsts, partners);
-            remaining -= width;
+        let Some((first, rest)) = workers[..wave].split_first_mut() else {
+            return;
+        };
+        if rest.is_empty() {
+            run_segment(first);
+        } else {
+            std::thread::scope(|scope| {
+                for worker in rest {
+                    scope.spawn(move || run_segment(worker));
+                }
+                run_segment(first);
+            });
         }
-        done += block;
-        if acc.stopped(&budget) {
-            break;
+        // Merge in replication order — lane by lane, the scalar reference's
+        // per-sample push sequence — and stop only where a block ends; the
+        // rest of an over-speculated wave is dropped.
+        for worker in &workers[..wave] {
+            let (firsts, partners) = (&worker.firsts, &worker.partners);
+            for lane in 0..worker.seeds.len() {
+                acc.push_sample(|i| (firsts[i][lane], plan.antithetic.then(|| partners[i][lane])));
+            }
+            if worker.ends_block && acc.stopped(&budget) {
+                return;
+            }
         }
     }
 }
@@ -1097,7 +1028,7 @@ mod tests {
     /// before it had already made.
     fn spilled_draws(engine: &Engine, programs: &[&BatchProgram], lanes: usize) -> usize {
         let prefix = shared_prefix(programs);
-        let seeds = segment_seeds(5, 0, lanes);
+        let seeds: Vec<u64> = SeedStream::new(5).take(lanes).collect();
         let kernel = CommitKernel::detect();
         let mut stream = fresh(engine, &seeds);
         let mut spilled = 0;
@@ -1178,6 +1109,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one lane")]
+    fn driver_rejects_zero_lanes() {
+        let engine = fig7_engine(FailureSpec::Exponential);
+        let profile = ApplicationProfile::from_params(engine.params());
+        let program = BatchProgram::compile(Protocol::AbftPeriodicCkpt, &profile, engine.plan());
+        accumulate_profile_program_batch(&engine, &program, ReplicationBudget::Fixed(10), 1, 0, 1);
+    }
+
+    #[test]
     fn program_cache_hits_return_the_identical_compiled_program() {
         let engine = fig7_engine(FailureSpec::Exponential);
         let profile = ApplicationProfile::from_params(engine.params());
@@ -1226,29 +1166,56 @@ mod tests {
         assert_eq!(cache.len(), 4);
     }
 
+    /// An adaptive budget of a first block of 40 and later blocks of 50,
+    /// at a precision that stops a thread-count test's runs after several
+    /// blocks but before the cap: at 16 lanes the blocks split 16 + 16 + 8
+    /// and 16 + 16 + 16 + 2, so at most thread counts a block ends in the
+    /// middle of a wave and the stopping decision falls inside one.
+    fn mid_wave_stop(rel_precision: f64) -> ReplicationBudget {
+        ReplicationBudget::Adaptive {
+            rel_precision,
+            min: 40,
+            max: 400,
+        }
+    }
+
+    /// Whether `replications` stopped after the first stopping check and
+    /// before the cap of a [`mid_wave_stop`] budget.
+    fn stops_mid_run(replications: usize) -> bool {
+        40 < replications && replications < 400
+    }
+
     #[test]
     fn parallel_block_driver_is_bit_identical_across_thread_counts() {
         let engine = fig7_engine(FailureSpec::Weibull { shape: 0.7 });
         let profile = ApplicationProfile::from_params(engine.params());
-        let program = BatchProgram::compile(Protocol::AbftPeriodicCkpt, &profile, engine.plan());
-        for budget in [
-            ReplicationBudget::Fixed(130),
-            ReplicationBudget::Adaptive {
-                rel_precision: 0.05,
-                min: 60,
-                max: 400,
-            },
-        ] {
+        let protocol = Protocol::AbftPeriodicCkpt;
+        let program = BatchProgram::compile(protocol, &profile, engine.plan());
+        // Fixed(1000) at 48 lanes is 21 segments.
+        let budgets = [
+            (ReplicationBudget::Fixed(130), 50),
+            (ReplicationBudget::Fixed(1000), 48),
+            (mid_wave_stop(0.015), 16),
+        ];
+        for (budget, lanes) in budgets {
             for antithetic in [false, true] {
                 let plan = ReplicationPlan::new(budget).antithetic(antithetic);
-                let serial =
-                    accumulate_profile_program_batch(&engine, &program, plan, 77, 50, 1);
-                for threads in [2, 3, 5, 8] {
-                    let parallel = accumulate_profile_program_batch(
-                        &engine, &program, plan, 77, 50, threads,
+                // The scalar reference: one replication at a time, its own
+                // seed stream and stopping checks.
+                let scalar =
+                    accumulate_paired_engine(&engine, &[protocol], &profile, plan, 77).outcomes[0];
+                if matches!(budget, ReplicationBudget::Adaptive { .. }) {
+                    assert!(
+                        stops_mid_run(scalar.count() as usize),
+                        "antithetic={antithetic}"
+                    );
+                }
+                for threads in [1, 2, 3, 5, 8] {
+                    let batch = accumulate_profile_program_batch(
+                        &engine, &program, plan, 77, lanes, threads,
                     );
                     assert_eq!(
-                        serial, parallel,
+                        scalar, batch,
                         "{budget:?} antithetic={antithetic} threads={threads}"
                     );
                 }
@@ -1266,25 +1233,35 @@ mod tests {
             .map(|&p| BatchProgram::compile(p, &profile, engine.plan()))
             .collect();
         let refs: Vec<&BatchProgram> = programs.iter().collect();
-        for budget in [
-            ReplicationBudget::Fixed(90),
-            ReplicationBudget::AdaptiveDelta {
-                rel_precision: 0.05,
-                min: 60,
-                max: 300,
-            },
-        ] {
+        let budgets = [
+            (ReplicationBudget::Fixed(90), 32),
+            (ReplicationBudget::Fixed(1000), 48),
+            (
+                ReplicationBudget::AdaptiveDelta {
+                    rel_precision: 0.05,
+                    min: 60,
+                    max: 300,
+                },
+                32,
+            ),
+            (mid_wave_stop(0.01), 16),
+        ];
+        for (budget, lanes) in budgets {
             for antithetic in [false, true] {
                 let plan = ReplicationPlan::new(budget).antithetic(antithetic);
-                let serial = accumulate_paired_programs_batch(
-                    &engine, &protocols, &refs, plan, 5, 32, 1,
-                );
-                for threads in [2, 4, 7] {
-                    let parallel = accumulate_paired_programs_batch(
-                        &engine, &protocols, &refs, plan, 5, 32, threads,
+                let scalar = accumulate_paired_engine(&engine, &protocols, &profile, plan, 5);
+                if matches!(budget, ReplicationBudget::Adaptive { .. }) {
+                    assert!(
+                        stops_mid_run(scalar.replications()),
+                        "antithetic={antithetic}"
+                    );
+                }
+                for threads in [1, 2, 4, 7] {
+                    let batch = accumulate_paired_programs_batch(
+                        &engine, &protocols, &refs, plan, 5, lanes, threads,
                     );
                     assert_eq!(
-                        serial, parallel,
+                        scalar, batch,
                         "{budget:?} antithetic={antithetic} threads={threads}"
                     );
                 }
